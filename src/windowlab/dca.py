@@ -18,8 +18,9 @@ presentation so every instance is voted on by every cell.  An instance is
 anomalous when the mean of its received votes is >= 0.
 
 Their accumulate-and-reset behaviour gives each cell the same disjoint,
-contiguous, covering window structure as the dynamic moving-window filter,
-with csm playing the role of the score magnitude.
+contiguous, covering window structure as the dynamic moving-window filter, with
+csm as the score magnitude: all cells are lanes of one ``windows.budget_walk``,
+closing on reaching the lifespan where a dynamic window stays within its budget.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ANOMALOUS_LABEL, InstanceSeries
+from .windows import budget_walk
 
 
 class NormalizationError(ValueError):
@@ -63,14 +65,11 @@ class SignalSeries:
         return self.safe.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DendriticCell:
-    """One agent: a fixed lifespan plus its within-run accumulation state."""
+    """One agent, defined by its lifespan."""
 
     lifespan: float
-    csm_sum: float = 0.0
-    k_sum: float = 0.0
-    window_start: int = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,46 +169,31 @@ def init_lifespans(signals: SignalSeries, m: int, lam: float) -> np.ndarray:
     return peak * (np.arange(1, m + 1, dtype=float) / m) * lam
 
 
-def _presentation_spans(cum_csm: np.ndarray, lifespan: float) -> list[tuple[int, int]]:
-    """0-based (start, end) windows: each ends at the first index where the
-    accumulated csm since the last reset reaches the lifespan; the remainder
-    is flushed as a final window."""
-    n = cum_csm.shape[0]
-    spans = []
-    start = 0
-    prev_total = 0.0
-    while start < n:
-        end = int(np.searchsorted(cum_csm, prev_total + lifespan, side="left"))
-        if end >= n:
-            end = n - 1  # end of input: flush the partial window
-        spans.append((start, end))
-        prev_total = cum_csm[end]
-        start = end + 1
-    return spans
-
-
 def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> AntigenScores:
     """Process the full series with every cell and tally per-instance votes."""
     n = len(signals)
     if n == 0:
         raise ValueError("signal series is empty")
     csm, k = signal_transform(signals.safe, signals.danger)
-    cum_csm = np.cumsum(csm)
     cum_k = np.concatenate([[0.0], np.cumsum(k)])
+    lifespans = np.array([cell.lifespan for cell in population.cells])
 
-    # Range-add votes via difference arrays; one window per cell per instance.
+    # Row c holds cell c's window ends, padded with its last end, n - 1.
+    ends = np.full((population.size, n), n - 1, dtype=np.int32)
+    for step, (_, lane_ends) in enumerate(budget_walk(np.cumsum(csm), lifespans, "left")):
+        ends[: lane_ends.size, step] = lane_ends
+
+    # Range-add votes cell by cell, closings first: a window-by-window walk's add order.
     vote_diff = np.zeros(n + 1)
-    count_diff = np.zeros(n + 1)
-    for cell in population.cells:
-        for start, end in _presentation_spans(cum_csm, cell.lifespan):
-            vote = cum_k[end + 1] - cum_k[start]
-            vote_diff[start] += vote
-            vote_diff[end + 1] -= vote
-            count_diff[start] += 1
-            count_diff[end + 1] -= 1
+    for cell_ends in ends:
+        stops = cell_ends[: cell_ends.searchsorted(n - 1) + 1] + 1
+        starts = np.concatenate([[0], stops[:-1]])
+        votes = cum_k[stops] - cum_k[starts]
+        vote_diff[stops] -= votes
+        vote_diff[starts] += votes
 
     vote_sums = np.cumsum(vote_diff[:-1])
-    vote_counts = np.cumsum(count_diff[:-1])
+    vote_counts = np.full(n, float(population.size))
     mean_votes = vote_sums / vote_counts
     labels = np.where(mean_votes >= 0, 1, -1)
     return AntigenScores(vote_sums, vote_counts, mean_votes, labels)

@@ -96,6 +96,43 @@ def tune_dynamic(scores, truths, betas) -> tuple[float, float]:
     return best
 
 
+def prefix_sums(values) -> list[float]:
+    sums = []
+    total = 0.0
+    for v in values:
+        total += float(v)
+        sums.append(total)
+    return sums
+
+
+def budget_spans(magnitudes, budget: float, side: str) -> list[tuple[int, int]]:
+    """One lane of budget windows, stepped index by index.
+
+    A window ends where the running total since the previous window's end,
+    prefix[end_prev] + budget, is met: "right" takes the last index at or
+    below it (at least one index), "left" the first index reaching it (or
+    the last index of the series).
+    """
+    cum = prefix_sums(magnitudes)
+    n = len(cum)
+    spans = []
+    start = 0
+    prev = 0.0
+    while start < n:
+        target = prev + float(budget)
+        end = start
+        if side == "right":
+            while end + 1 < n and cum[end + 1] <= target:
+                end += 1
+        else:
+            while end + 1 < n and cum[end] < target:
+                end += 1
+        spans.append((start, end))
+        prev = cum[end]
+        start = end + 1
+    return spans
+
+
 # ---------------------------------------------------------------------------
 # Dual QP by active-set enumeration (exact for tiny n)
 # ---------------------------------------------------------------------------
@@ -182,6 +219,24 @@ def dca_votes(safe, danger, lifespans) -> list[list[float]]:
 def dca_labels(safe, danger, lifespans) -> np.ndarray:
     votes = dca_votes(safe, danger, lifespans)
     return np.array([sign_plus(sum(v) / len(v)) for v in votes])
+
+
+def dca_vote_sums(safe, danger, lifespans) -> np.ndarray:
+    """Per-instance vote sums range-added through a difference array one
+    window at a time, cell by cell: += vote at the window's start, then
+    -= vote just past its end."""
+    safe = list(map(float, safe))
+    danger = list(map(float, danger))
+    n = len(safe)
+    csm = [s + d for s, d in zip(safe, danger)]
+    cum_k = [0.0] + prefix_sums([d - s for s, d in zip(safe, danger)])
+    diff = [0.0] * (n + 1)
+    for lifespan in lifespans:
+        for start, end in budget_spans(csm, lifespan, "left"):
+            vote = cum_k[end + 1] - cum_k[start]
+            diff[start] += vote
+            diff[end + 1] -= vote
+    return np.array(prefix_sums(diff[:-1]))
 
 
 # ---------------------------------------------------------------------------

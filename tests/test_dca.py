@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from windowlab.dca import (
     NormalizationError,
     SignalMapping,
     SignalSeries,
-    _presentation_spans,
     init_lifespans,
     preprocess,
     run_dca,
@@ -18,6 +19,13 @@ from windowlab.dca import (
     signal_transform,
     write_score_dump,
 )
+from windowlab.windows import budget_walk
+
+
+def presentation_spans(cum_csm, lifespan):
+    """One cell's (start, end) windows from the shared budget walk."""
+    walk = budget_walk(cum_csm, np.array([lifespan]), "left")
+    return [(int(starts[0]), int(ends[0])) for starts, ends in walk]
 
 
 def block(features, labels):
@@ -150,7 +158,7 @@ class TestRunDca:
         scores = run_dca_scores(sig, pop)
         assert list(scores.labels) == [1] * 6
         assert list(scores.vote_sums) == [1.0] * 6  # windows of two, k_sum = 1.0
-        spans = _presentation_spans(np.cumsum(np.array([0.5] * 6)), 1.0)
+        spans = presentation_spans(np.cumsum(np.array([0.5] * 6)), 1.0)
         assert spans == [(0, 1), (2, 3), (4, 5)]
 
     def test_hand_traced_two_cell_run(self):
@@ -192,12 +200,43 @@ class TestRunDca:
         csm = rng.uniform(0, 1, 40)
         cum = np.cumsum(csm)
         for lifespan in (0.1, 0.7, 3.0, 100.0):
-            spans = _presentation_spans(cum, lifespan)
+            spans = presentation_spans(cum, lifespan)
             assert spans[0][0] == 0
             assert spans[-1][1] == 39
             for (s1, e1), (s2, _) in zip(spans, spans[1:]):
                 assert s2 == e1 + 1
                 assert e1 >= s1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_vote_sums_match_window_by_window_replay_bytes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(10, 120))
+        safe = rng.uniform(0, 1, n)
+        danger = rng.uniform(0, 1, n)
+        safe[rng.random(n) < 0.2] = 0.0
+        danger[rng.random(n) < 0.2] = 0.0
+        sig = signals_from(safe, danger)
+        lifespans = init_lifespans(sig, 30, float(rng.choice([0.05, 1.0, 10.0])))
+        scores = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
+        expected = oracles.dca_vote_sums(safe, danger, lifespans)
+        assert scores.vote_sums.tobytes() == expected.tobytes()
+
+    def test_tiny_lifespan_finishes_with_singleton_windows(self):
+        # cum_csm + 1e-17 rounds back to cum_csm, so without the [start, n-1]
+        # clip the walk would step backwards forever.
+        sig = signals_from([0.0, 0.5, 0.25], [0.5, 0.0, 0.75])  # k = +0.5, -0.5, +0.5
+        pop = DCAPopulation.from_lifespans([1e-17])
+        result = {}
+        worker = threading.Thread(
+            target=lambda: result.update(scores=run_dca_scores(sig, pop)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "run_dca_scores did not finish"
+        scores = result["scores"]
+        assert list(scores.vote_sums) == [0.5, -0.5, 0.5]
+        assert list(scores.labels) == [1, -1, 1]
+        assert presentation_spans(np.cumsum([0.5, 0.5, 1.0]), 1e-17) == [(0, 0), (1, 1), (2, 2)]
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

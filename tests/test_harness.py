@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,22 @@ class TestOutputs:
         second = emit_outputs(table, report, cfg, tmp_path / "b")
         for key in first:
             assert first[key].read_bytes() == second[key].read_bytes()
+
+
+def test_golden_twenty_dataset_sweep_digests(tmp_path):
+    """The paper configuration's first 20 datasets at the acceptance seed give
+    these output bytes; any change to a kernel's arithmetic shows here."""
+    config = ExperimentConfig(seed=20260808, n_datasets=20)
+    table = run_experiment(config)
+    paths = emit_outputs(table, analyze(table), config, tmp_path)
+    digests = {
+        name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
+        for name in ("error_rates", "stats_report")
+    }
+    assert digests == {
+        "error_rates": "766e245df3234fd8062bc7ac7b879857e5fe05b6a37bac09154cc197256a48a2",
+        "stats_report": "d7b9d0a70a391696be4b42a21045355bae39d3f31729b5e7083763170ee2c134",
+    }
 
 
 class TestConfigValidation:

@@ -12,6 +12,7 @@ from windowlab.windows import (
     WindowPartition,
     WindowSizeGrid,
     apply,
+    budget_walk,
     default_size_grid,
     dynamic_label,
     dynamic_partition,
@@ -43,6 +44,48 @@ grid_score_lists = st.lists(
     max_size=60,
 )
 pow2_factors = st.sampled_from([0.25, 0.5, 2.0, 4.0, 16.0])
+
+
+@st.composite
+def walk_cases(draw):
+    """Nonnegative increments (zeros included) and strictly increasing budgets
+    that always reach below the smallest increment and above the total."""
+    increments = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    total = sum(increments)
+    drawn = draw(
+        st.lists(st.floats(min_value=1e-6, max_value=2 * total + 1), max_size=8)
+    )
+    budgets = sorted(set(drawn) | {1e-17, 5e-4, total + 1.0})
+    return np.array(increments), np.array(budgets)
+
+
+def lane_spans(cum_mag, budgets, side):
+    """Every lane's (start, end) list from one multi-lane walk."""
+    lanes = [[] for _ in budgets]
+    for starts, ends in budget_walk(cum_mag, budgets, side):
+        for lane, span in enumerate(zip(starts.tolist(), ends.tolist())):
+            lanes[lane].append(span)
+    return lanes
+
+
+@st.composite
+def tuning_cases(draw):
+    """Grid scores with +-1 truths and strictly increasing budgets on a 1/64
+    grid, so every window total is exact; neighbouring budgets often give the
+    same partition, hence tied errors."""
+    scores = draw(grid_score_lists)
+    truths = draw(
+        st.lists(st.sampled_from([-1, 1]), min_size=len(scores), max_size=len(scores))
+    )
+    steps = draw(st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=30))
+    budgets = sorted({v / 64.0 for v in steps})
+    return np.array(scores), np.array(truths), np.array(budgets)
 
 
 class TestSgn:
@@ -225,6 +268,29 @@ class TestDynamicPartition:
                 assert absr[start - 1 : end].sum() <= beta + 1e-12
 
 
+class TestBudgetWalk:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @given(walk_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_every_lane_matches_one_lane_oracle(self, side, case):
+        increments, budgets = case
+        got = lane_spans(np.cumsum(increments), budgets, side)
+        for lane, budget in enumerate(budgets):
+            assert got[lane] == oracles.budget_spans(increments, budget, side)
+
+    def test_right_stays_within_budget_left_reaches_it(self):
+        cum = np.cumsum([0.5, 0.5, 0.5, 0.5, 0.5])
+        budgets = np.array([0.75, 1.0])
+        assert lane_spans(cum, budgets, "right") == [
+            [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)],
+            [(0, 1), (2, 3), (4, 4)],
+        ]
+        assert lane_spans(cum, budgets, "left") == [
+            [(0, 1), (2, 3), (4, 4)],
+            [(0, 1), (2, 3), (4, 4)],
+        ]
+
+
 class TestDynamicLabel:
     def test_huge_budget_single_window_tie_positive(self):
         out = dynamic_label(make_series([0.4, -0.4, 0.4, -0.4]), 1e9)
@@ -279,6 +345,26 @@ class TestTuneDynamic:
         )
         assert tuned.parameter == pytest.approx(beta_ref)
         assert tuned.training_error == pytest.approx(err_ref)
+
+    @given(tuning_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_exactly(self, case):
+        scores, truths, budgets = case
+        tuned = tune_dynamic(make_series(scores, truths), ThresholdGrid(budgets, 1.0))
+        beta_ref, err_ref = oracles.tune_dynamic(scores, truths, budgets)
+        assert (tuned.parameter, tuned.training_error) == (beta_ref, err_ref)
+
+    def test_tied_errors_go_to_smallest_budget(self):
+        # Errors over the grid are 2, 2, 1, 1: budget 0.75 first pairs the
+        # opening scores, and 1.25 ties it.
+        series = make_series([0.5, -0.25, 0.5, -0.5], truths=[1, 1, 1, 1])
+        grid = ThresholdGrid(np.array([0.25, 0.5, 0.75, 1.25]), 1.0)
+        tuned = tune_dynamic(series, grid)
+        assert (tuned.parameter, tuned.training_error) == (0.75, 1.0)
+
+    def test_rejects_non_sign_truths(self):
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            tune_dynamic(make_series([0.5, -0.5], truths=[1, 0]), ThresholdGrid(np.array([1.0]), 1.0))
 
 
 class TestApply:
