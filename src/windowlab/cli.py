@@ -38,19 +38,7 @@ _DEFAULTS = {
     "n_test": 1000,
 }
 
-_CASTS = {
-    "seed": int,
-    "datasets": int,
-    "out": str,
-    "methods": str,
-    "lambda": str,
-    "name": str,
-    "svm_c": float,
-    "window_grid": int,
-    "threshold_grid": int,
-    "n_train": int,
-    "n_test": int,
-}
+_CASTS = {key: type(value) for key, value in _DEFAULTS.items()}
 
 
 def _read_config_file(path: str) -> dict:

@@ -73,6 +73,17 @@ class GeneratorConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
 
 
+def require_finite(values: np.ndarray, name: str) -> None:
+    """Reject NaN and +-inf, naming the first one's time index (row + 1) and,
+    in a feature block, its column (f1, f2, ...)."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, *col = bad[0].tolist()
+        where = f"{name} f{col[0] + 1}" if col else name
+        value = values[tuple(bad[0])]
+        raise ValueError(f"{where} is {value} at time index {row + 1}; must be finite")
+
+
 @dataclass(frozen=True)
 class LabeledInstance:
     """One time-indexed feature vector with its class label."""
@@ -98,6 +109,7 @@ class InstanceSeries:
         labs = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-d array")
+        require_finite(feats, "feature")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must be 1-d and match the number of instances")
         if labs.size and not np.all(np.isin(labs, (-1, 1))):

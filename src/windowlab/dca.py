@@ -19,8 +19,9 @@ anomalous when the mean of its received votes is >= 0.
 
 Their accumulate-and-reset behaviour gives each cell the same disjoint,
 contiguous, covering window structure as the dynamic moving-window filter, with
-csm as the score magnitude: all cells are lanes of one ``windows.budget_walk``,
-closing on reaching the lifespan where a dynamic window stays within its budget.
+csm as the score magnitude: each cell is one lane of ``windows.budget_walk``, a
+chase along per-start successors, closing on reaching the lifespan where a
+dynamic window stays within its budget.
 """
 
 from __future__ import annotations
@@ -176,18 +177,11 @@ def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> AntigenS
         raise ValueError("signal series is empty")
     csm, k = signal_transform(signals.safe, signals.danger)
     cum_k = np.concatenate([[0.0], np.cumsum(k)])
-    lifespans = np.array([cell.lifespan for cell in population.cells])
-
-    # Row c holds cell c's window ends, padded with its last end, n - 1.
-    ends = np.full((population.size, n), n - 1, dtype=np.int32)
-    for step, (_, lane_ends) in enumerate(budget_walk(np.cumsum(csm), lifespans, "left")):
-        ends[: lane_ends.size, step] = lane_ends
 
     # Range-add votes cell by cell, closings first: a window-by-window walk's add order.
     vote_diff = np.zeros(n + 1)
-    for cell_ends in ends:
-        stops = cell_ends[: cell_ends.searchsorted(n - 1) + 1] + 1
-        starts = np.concatenate([[0], stops[:-1]])
+    for edges in budget_walk(np.cumsum(csm), [c.lifespan for c in population.cells], "left"):
+        starts, stops = edges[:-1], edges[1:]
         votes = cum_k[stops] - cum_k[starts]
         vote_diff[stops] -= votes
         vote_diff[starts] += votes

@@ -63,14 +63,7 @@ class Method(str, Enum):
         return self.value
 
 
-ALL_METHODS = (
-    Method.LNC,
-    Method.SMOV,
-    Method.DMOV1,
-    Method.DMOV2,
-    Method.DCA1,
-    Method.DCA2,
-)
+ALL_METHODS = tuple(Method)
 
 #: Best parameterization of each distinct approach, best hypothesized first.
 ORDERING_CANDIDATES = (Method.SMOV, Method.DMOV2, Method.DCA1, Method.LNC)
@@ -238,10 +231,13 @@ class ResultsTable:
         return tuple(sorted({row.dataset_index for row in self.rows}))
 
     def errors(self, method: Method) -> np.ndarray:
-        rows = sorted(
-            (r for r in self.rows if r.method == method), key=lambda r: r.dataset_index
-        )
-        return np.array([r.error_rate for r in rows])
+        """Error rates in dataset order; every dataset needs exactly one row."""
+        rows = sorted((r.dataset_index, r.error_rate) for r in self.rows if r.method == method)
+        found = [index for index, _ in rows]
+        for index in self.dataset_indexes():
+            if (count := found.count(index)) != 1:
+                raise ValueError(f"results need one {method} row for dataset {index}, got {count}")
+        return np.array([error for _, error in rows])
 
     def distances(self) -> np.ndarray:
         by_index = {r.dataset_index: r.centroid_distance for r in self.rows}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import InstanceSeries
+from .datagen import InstanceSeries, require_finite
 
 #: Default stopping tolerance on the maximal KKT violation.
 KKT_TOL = 1e-3
@@ -68,6 +68,7 @@ class ScoreSeries:
         truths = np.asarray(self.truths, dtype=int)
         if scores.shape != truths.shape or scores.ndim != 1:
             raise ValueError("scores and truths must be 1-d arrays of equal length")
+        require_finite(scores, "score")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "truths", truths)
 

@@ -11,8 +11,10 @@ A window always contains at least one index: if a single score's magnitude
 already exceeds the dynamic budget, that index forms a singleton window.
 Consecutive windows share no endpoints; the next window starts one index
 after the previous one ends, which keeps every label in {-1, +1}.  Dynamic
-windows come from ``budget_walk``, which ``dca`` shares: there a window closes
-on reaching its budget instead of staying within it.
+windows come from ``budget_walk``, which ``dca`` shares: a window's end depends
+only on its start, so each budget's windows are a chase along a per-start
+successor table.  In the DCA a window closes on reaching its budget instead of
+staying within it.
 
 Tuning is exhaustive minimization of the mean squared label error over a
 parameter grid; ties go to the smallest parameter.
@@ -21,7 +23,7 @@ parameter grid; ties go to the smallest parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -186,51 +188,55 @@ def make_threshold_grid(series: ScoreSeries, m: int, lam: float) -> ThresholdGri
 
 
 def budget_walk(
-    cum_mag: np.ndarray, budgets: np.ndarray, side: Literal["left", "right"]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One lane of windows per budget over prefix sums of nonnegative
-    magnitudes; each step yields the next 0-based inclusive ``(starts, ends)``
-    of every lane not yet at the end, one index after the lane's last window.
+    cum_mag: np.ndarray, budgets: Iterable[float], side: Literal["left", "right"]
+) -> Iterator[np.ndarray]:
+    """Yield each budget's window edges ``e`` over prefix sums of nonnegative
+    magnitudes, one lane per budget: ``e[0] = 0``, ``e[-1] = n``, and window
+    ``j`` is the 0-based slice ``e[j]:e[j + 1]``.
 
-    A window ends where ``cum_mag[end_prev] + budget`` is met: at the last
-    index at or below it for ``side="right"``, the first reaching it for
-    ``side="left"``; clipped to ``[start, n - 1]``.  ``budgets`` must increase,
-    so each lane ends at or after the one before: unfinished lanes come first."""
+    The window from ``start`` ends where ``cum_mag[start - 1] + budget`` (0.0
+    before the first index) is met: at the last index at or below it for
+    ``side="right"``, the first reaching it for ``side="left"``.  That end
+    depends on the start alone, so one ``searchsorted`` over all starts gives
+    every start's successor, clipped to ``[start + 1, n]``; the lane is the
+    chase along successors from 0, one list step per window.  Lanes are
+    independent, so budgets may come in any order."""
     n = cum_mag.shape[0]
-    starts = np.zeros(budgets.shape[0], dtype=np.intp)
-    totals = np.zeros(budgets.shape[0])
-    while starts.size:
-        ends = cum_mag.searchsorted(totals + budgets[: starts.size], side=side)
-        ends -= side == "right"
-        np.maximum(ends, starts, out=ends)
-        np.minimum(ends, n - 1, out=ends)
-        yield starts, ends
-        ends = ends[: ends.searchsorted(n - 1)]
-        totals = cum_mag[ends]
-        starts = ends + 1
+    before = np.concatenate([[0.0], cum_mag[:-1]])
+    floor = np.arange(1, n + 1)
+    for budget in budgets:
+        succ = cum_mag.searchsorted(before + budget, side)
+        succ += side == "left"
+        np.maximum(succ, floor, out=succ)
+        np.minimum(succ, n, out=succ)
+        step = memoryview(succ)  # Python ints, read without converting the table
+        start, edges = 0, [0]
+        while start < n:
+            start = step[start]
+            edges.append(start)
+        yield np.fromiter(edges, np.intp, len(edges))
 
 
-def _dynamic_windows(series: ScoreSeries, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (starts, ends) of the budget-``beta`` windows: a one-lane walk."""
+def _dynamic_edges(series: ScoreSeries, beta: float) -> np.ndarray:
+    """Window edges of the budget-``beta`` windows: a one-lane walk."""
     if len(series) == 0:
         raise ValueError("score series is empty")
     if not beta > 0:
         raise ValueError(f"threshold must be > 0, got {beta}")
-    walk = budget_walk(np.cumsum(np.abs(series.scores)), np.array([float(beta)]), "right")
-    return tuple(map(np.concatenate, zip(*walk)))
+    return next(budget_walk(np.cumsum(np.abs(series.scores)), [float(beta)], "right"))
 
 
 def dynamic_partition(series: ScoreSeries, beta: float) -> WindowPartition:
     """Budget-driven windows over the series' absolute scores."""
-    starts, ends = _dynamic_windows(series, beta)
-    return WindowPartition(tuple(zip((starts + 1).tolist(), (ends + 1).tolist())), len(series))
+    edges = _dynamic_edges(series, beta)
+    return WindowPartition(tuple(zip((edges[:-1] + 1).tolist(), edges[1:].tolist())), len(series))
 
 
 def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
     """Label every instance with the sign of its dynamic window's score sum."""
-    starts, ends = _dynamic_windows(series, beta)
+    edges = _dynamic_edges(series, beta)
     cum = np.concatenate([[0.0], np.cumsum(series.scores)])
-    return np.repeat(_sgn_array(cum[ends + 1] - cum[starts]), ends + 1 - starts)
+    return np.repeat(_sgn_array(np.diff(cum[edges])), np.diff(edges))
 
 
 def tune_dynamic(series: ScoreSeries, grid: ThresholdGrid) -> TunedFilter:
@@ -241,11 +247,12 @@ def tune_dynamic(series: ScoreSeries, grid: ThresholdGrid) -> TunedFilter:
         raise ValueError("score series must be nonempty, with truth labels -1 or +1")
     cum = np.concatenate([[0.0], np.cumsum(series.scores)])
     cum_pos = np.concatenate([[0], np.cumsum(series.truths > 0)])
-    wrong = np.zeros(grid.m, dtype=np.int64)
-    for starts, ends in budget_walk(np.cumsum(np.abs(series.scores)), grid.thresholds, "right"):
-        stops = ends + 1
+    wrong = np.empty(grid.m, dtype=np.int64)
+    walk = budget_walk(np.cumsum(np.abs(series.scores)), grid.thresholds, "right")
+    for lane, edges in enumerate(walk):
+        starts, stops = edges[:-1], edges[1:]
         pos = cum_pos[stops] - cum_pos[starts]
-        wrong[: stops.size] += np.where(cum[stops] - cum[starts] >= 0, stops - starts - pos, pos)
+        wrong[lane] = np.where(cum[stops] - cum[starts] >= 0, stops - starts - pos, pos).sum()
     errors = (4 * wrong) / len(series)
     best = int(np.argmin(errors))
     return TunedFilter("dynamic", float(grid.thresholds[best]), float(errors[best]))

@@ -176,6 +176,13 @@ class TestInstanceSeries:
         with pytest.raises(ValueError, match="labels"):
             InstanceSeries(np.zeros((2, 2)), np.array([0, 1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_feature_by_row_and_column(self, bad):
+        feats = np.zeros((4, 2))
+        feats[2, 1] = bad
+        with pytest.raises(ValueError, match=rf"feature f2 is {bad} at time index 3"):
+            InstanceSeries(feats, np.array([-1, -1, 1, 1]))
+
 
 class TestCsv:
     def test_round_trip_and_naming(self, tmp_path):
@@ -188,3 +195,9 @@ class TestCsv:
         back = read_series_csv(train_path)
         assert np.array_equal(back.features, ds.train.features)
         assert np.array_equal(back.labels, ds.train.labels)
+
+    def test_non_finite_cell_named_on_read(self, tmp_path):
+        path = tmp_path / "bad_train.csv"
+        path.write_text("time_index,f1,f2,label\n1,0.1,0.2,-1\n2,nan,0.3,1\n")
+        with pytest.raises(ValueError, match="feature f1 is nan at time index 2"):
+            read_series_csv(path)

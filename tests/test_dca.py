@@ -1,4 +1,6 @@
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from windowlab.windows import budget_walk
 
 def presentation_spans(cum_csm, lifespan):
     """One cell's (start, end) windows from the shared budget walk."""
-    walk = budget_walk(cum_csm, np.array([lifespan]), "left")
-    return [(int(starts[0]), int(ends[0])) for starts, ends in walk]
+    (edges,) = budget_walk(cum_csm, np.array([lifespan]), "left")
+    return list(zip(edges[:-1].tolist(), (edges[1:] - 1).tolist()))
 
 
 def block(features, labels):
@@ -94,6 +96,14 @@ class TestPreprocess:
         feats = [(0.1, 0.2), (0.3, 0.4)]
         with pytest.raises(ValueError, match="single class"):
             preprocess(block(feats, [-1, -1]))
+
+    def test_nan_feature_rejected_not_made_danger(self):
+        # Without the check the NaN correlation wins argmax and becomes the danger signal.
+        feats = [(0.1, 0.2), (0.3, float("nan")), (0.9, 0.8), (0.7, 0.6)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="feature f2 is nan at time index 2"):
+            preprocess(block(feats, [-1, -1, 1, 1]))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSignalTransform:
@@ -237,6 +247,20 @@ class TestRunDca:
         assert list(scores.vote_sums) == [0.5, -0.5, 0.5]
         assert list(scores.labels) == [1, -1, 1]
         assert presentation_spans(np.cumsum([0.5, 0.5, 1.0]), 1e-17) == [(0, 0), (1, 1), (2, 2)]
+
+    @pytest.mark.parametrize("lam", [1.0, 100.0])
+    def test_memory_is_one_cell_at_a_time(self, lam):
+        # 1,000 instances, 100 cells: a cells x n end table would alone exceed the bound.
+        ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=12))
+        sig = preprocess(ds.test)
+        pop = DCAPopulation.from_lifespans(init_lifespans(sig, 100, lam))
+        tracemalloc.start()
+        try:
+            run_dca(sig, pop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

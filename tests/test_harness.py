@@ -185,6 +185,18 @@ class TestAnalyze:
         assert comp.report is None
         assert "degenerate" in comp.note
 
+    def test_missing_cell_is_named(self, small_table, tmp_path):
+        table, _ = small_table
+        rows = tuple(r for r in table.rows if (r.dataset_index, r.method) != (2, Method.DMOV2))
+        path = ResultsTable(rows).write_csv(tmp_path / "error_rates.csv")
+        with pytest.raises(ValueError, match="one DMOV2 row for dataset 2, got 0"):
+            analyze(ResultsTable.read_csv(path))
+
+    def test_repeated_cell_is_named(self, small_table):
+        table, _ = small_table
+        with pytest.raises(ValueError, match="one LNC row for dataset 0, got 2"):
+            analyze(ResultsTable(table.rows + table.rows[:1]))
+
     def test_one_sided_orients_toward_smaller_mean(self, small_table):
         table, _ = small_table
         report = analyze(table)

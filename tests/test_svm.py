@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,22 @@ class TestScoreSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ScoreSeries(np.zeros(3), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected_by_time_index(self, bad):
+        with pytest.raises(ValueError, match=rf"score is {bad} at time index 2"):
+            ScoreSeries(np.array([0.5, bad, -0.5]), np.array([1, 1, -1]))
+
+
+def test_train_rejects_nan_feature_fast():
+    # Without the check the NaN gap never closes and the solver runs every pair update.
+    ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=8))
+    feats = ds.train.features.copy()
+    feats[417, 1] = np.nan
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="feature f2 is nan at time index 418"):
+        train(InstanceSeries(feats, ds.train.labels))
+    assert time.perf_counter() - start < 1.0
 
 
 class TestModelDump:

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,11 +70,10 @@ def walk_cases(draw):
 
 def lane_spans(cum_mag, budgets, side):
     """Every lane's (start, end) list from one multi-lane walk."""
-    lanes = [[] for _ in budgets]
-    for starts, ends in budget_walk(cum_mag, budgets, side):
-        for lane, span in enumerate(zip(starts.tolist(), ends.tolist())):
-            lanes[lane].append(span)
-    return lanes
+    return [
+        list(zip(edges[:-1].tolist(), (edges[1:] - 1).tolist()))
+        for edges in budget_walk(cum_mag, budgets, side)
+    ]
 
 
 @st.composite
@@ -207,6 +209,23 @@ class TestTuneStatic:
         alpha_ref, err_ref = oracles.tune_static(scores, truths, grid.sizes)
         assert tuned.parameter == alpha_ref
         assert tuned.training_error == pytest.approx(err_ref)
+
+
+class TestNonFiniteScores:
+    def test_threshold_grid_names_the_nan(self):
+        # Without the check the NaN peak makes every threshold NaN: "must be positive".
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="score is nan at time index 2"):
+            make_threshold_grid(make_series([0.5, np.nan, -0.2]), 10, 1.0)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tune_static_names_the_value(self, bad):
+        # Without the check a NaN window sum labels -1 and tuning returns error 2.0.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"score is {bad} at time index 3"):
+            tune_static(make_series([0.5, -0.5, bad, 0.5], [1, -1, 1, 1]), default_size_grid(4))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestThresholdGrid:
@@ -413,6 +432,21 @@ class TestTuningIsArgmin:
         for beta in grid.thresholds:
             err = window_error(dynamic_label(series, float(beta)), series.truths)
             assert tuned.training_error <= err + 1e-12
+
+
+@pytest.mark.parametrize("lam", [1.0, 100.0])
+def test_tune_dynamic_memory_is_one_lane_at_a_time(lam):
+    # 1,000 instances, 100 budgets: a lanes x n table would alone exceed the bound.
+    rng = np.random.default_rng(5)
+    series = make_series(rng.normal(0, 1, 1000), np.repeat([-1, 1, -1, 1], 250))
+    grid = make_threshold_grid(series, 100, lam)
+    tracemalloc.start()
+    try:
+        tune_dynamic(series, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_tuned_filter_csv_row():
