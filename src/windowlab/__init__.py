@@ -4,7 +4,7 @@ compare the approaches across a separability sweep."""
 
 __version__ = "0.1.0"
 
-from .datagen import Dataset, GeneratorConfig, LabeledInstance, generate_benchmark_suite, generate_dataset
+from .datagen import Dataset, GeneratorConfig, generate_benchmark_suite, generate_dataset
 from .harness import AnalysisReport, ExperimentConfig, Method, ResultsTable, analyze, run_experiment
 from .svm import LinearModel, ScoreSeries, train
 
@@ -13,7 +13,6 @@ __all__ = [
     "Dataset",
     "ExperimentConfig",
     "GeneratorConfig",
-    "LabeledInstance",
     "LinearModel",
     "Method",
     "ResultsTable",

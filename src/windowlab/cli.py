@@ -24,18 +24,19 @@ from .datagen import write_dataset_csv, generate_benchmark_suite
 from .freq import write_gain_sweeps
 from .harness import ALL_METHODS, ExperimentConfig, Method
 
+_CONFIG = ExperimentConfig(seed=1)
 _DEFAULTS = {
-    "seed": 1,
-    "datasets": 100,
+    "seed": _CONFIG.seed,
+    "datasets": _CONFIG.n_datasets,
     "out": "out",
-    "methods": ",".join(str(m) for m in ALL_METHODS),
-    "lambda": "1,100",
+    "methods": ",".join(str(m) for m in _CONFIG.methods),
+    "lambda": f"{_CONFIG.lambda_low},{_CONFIG.lambda_high}",
     "name": "suite",
-    "svm_c": 1.0,
-    "window_grid": 100,
-    "threshold_grid": 100,
-    "n_train": 1000,
-    "n_test": 1000,
+    "svm_c": _CONFIG.svm_c,
+    "window_grid": _CONFIG.window_grid,
+    "threshold_grid": _CONFIG.threshold_grid,
+    "n_train": _CONFIG.n_train,
+    "n_test": _CONFIG.n_test,
 }
 
 _CASTS = {key: type(value) for key, value in _DEFAULTS.items()}
@@ -60,7 +61,7 @@ def _read_config_file(path: str) -> dict:
 def _parse_lambda(text: str) -> tuple[float, float]:
     parts = [p for p in str(text).split(",") if p != ""]
     if len(parts) == 1:
-        return float(parts[0]), float(_DEFAULTS["lambda"].split(",")[1])
+        return float(parts[0]), _CONFIG.lambda_high
     if len(parts) == 2:
         return float(parts[0]), float(parts[1])
     raise ValueError(f"--lambda takes one or two comma-separated values, got {text!r}")
@@ -98,7 +99,6 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         lambda_high=lam_high,
         n_train=int(settings["n_train"]),
         n_test=int(settings["n_test"]),
-        out_dir=str(settings["out"]),
     )
 
 
@@ -148,7 +148,7 @@ def _cmd_all(settings: dict) -> int:
     cfg = _experiment_config(settings)
     results = harness.run_experiment(cfg)
     report = harness.analyze(results, cfg.significance)
-    paths = harness.emit_outputs(results, report, cfg)
+    paths = harness.emit_outputs(results, report, cfg, settings["out"])
     for path in paths.values():
         print(f"wrote {path}")
     return 0

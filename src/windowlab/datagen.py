@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,13 +83,11 @@ def require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{where} is {value} at time index {row + 1}; must be finite")
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
-    """One time-indexed feature vector with its class label."""
-
-    features: tuple[float, ...]
-    label: int
-    time_index: int
+def read_only(values, dtype) -> np.ndarray:
+    """A private, unwritable copy, so checks made on it hold for its whole life."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +102,7 @@ class InstanceSeries:
     labels: np.ndarray  # (n,) values in {-1, +1}
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=float)
+        feats = read_only(self.features, float)
         labs = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-d array")
@@ -115,7 +112,7 @@ class InstanceSeries:
         if labs.size and not np.all(np.isin(labs, (-1, 1))):
             raise ValueError("labels must be -1 or +1")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs.astype(int))
+        object.__setattr__(self, "labels", read_only(labs, int))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -127,33 +124,6 @@ class InstanceSeries:
     @property
     def time_index(self) -> np.ndarray:
         return np.arange(1, len(self) + 1)
-
-    def instances(self) -> list[LabeledInstance]:
-        return [
-            LabeledInstance(tuple(float(v) for v in row), int(lab), i + 1)
-            for i, (row, lab) in enumerate(zip(self.features, self.labels))
-        ]
-
-    @classmethod
-    def from_instances(cls, instances: Iterable[LabeledInstance]) -> "InstanceSeries":
-        items = list(instances)
-        for pos, inst in enumerate(items):
-            if inst.time_index != pos + 1:
-                raise ValueError(
-                    f"time indexes must be consecutive from 1; found {inst.time_index} "
-                    f"at position {pos}"
-                )
-        if not items:
-            return cls(np.empty((0, 0)), np.empty(0, dtype=int))
-        feats = np.array([inst.features for inst in items], dtype=float)
-        labs = np.array([inst.label for inst in items], dtype=int)
-        return cls(feats, labs)
-
-    @classmethod
-    def coerce(cls, obj) -> "InstanceSeries":
-        if isinstance(obj, cls):
-            return obj
-        return cls.from_instances(obj)
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,9 +105,8 @@ class AntigenScores:
     labels: np.ndarray
 
 
-def preprocess(test_set) -> SignalSeries:
+def preprocess(series: InstanceSeries) -> SignalSeries:
     """Build safe/danger signals from a two-feature labeled block."""
-    series = InstanceSeries.coerce(test_set)
     if len(series) == 0:
         raise ValueError("instance block is empty")
     if series.n_features != 2:
@@ -197,12 +196,3 @@ def run_dca(signals: SignalSeries, population: DCAPopulation) -> np.ndarray:
     """Anomaly labels (+1 anomalous, -1 normal) for every instance."""
     return run_dca_scores(signals, population).labels
 
-
-def write_score_dump(scores: AntigenScores, path) -> None:
-    """Debug CSV: time_index, mean vote and label per instance."""
-    from pathlib import Path
-
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write("time_index,mean_vote,label\n")
-        for i, (vote, label) in enumerate(zip(scores.mean_votes, scores.labels), start=1):
-            fh.write(f"{i},{float(vote)!r},{int(label)}\n")

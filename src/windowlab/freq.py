@@ -9,7 +9,6 @@ Frequencies are in radians per sample step; sweeps cover [0, pi].
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,15 +26,6 @@ class FrequencyResponse:
     @property
     def magnitude(self) -> float:
         return abs(self.gain)
-
-
-@dataclass(frozen=True)
-class GainSweepPoint:
-    """Both transfer functions evaluated at one frequency."""
-
-    omega: float
-    sliding: FrequencyResponse
-    cell: FrequencyResponse
 
 
 def sliding_window_output(values, width: int) -> np.ndarray:
@@ -76,34 +66,21 @@ def dc_gain(width: int, omega: float) -> FrequencyResponse:
     return FrequencyResponse(float(omega), gain)
 
 
-def gain_sweep(width: int, n_points: int) -> list[GainSweepPoint]:
-    """Both gains on the even frequency grid k*pi/(n_points-1), k=0..n_points-1."""
-    if n_points < 2:
-        raise ValueError(f"a sweep needs at least 2 points, got {n_points}")
-    out = []
-    for k in range(n_points):
-        omega = k * np.pi / (n_points - 1)
-        out.append(
-            GainSweepPoint(
-                omega=float(omega),
-                sliding=sliding_window_gain(width, omega),
-                cell=dc_gain(width, omega),
-            )
-        )
-    return out
-
-
 def write_gain_sweeps(
     path, widths: Sequence[int] = (2, 4, 8, 16), n_points: int = 256
 ) -> Path:
-    """CSV of |gain| for both filters over a frequency sweep per width."""
+    """CSV of |gain| for both filters per width, on the even frequency grid
+    k*pi/(n_points-1), k=0..n_points-1."""
+    if n_points < 2:
+        raise ValueError(f"a sweep needs at least 2 points, got {n_points}")
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("W,omega,G_S_mag,G_D_mag\n")
         for width in widths:
-            for point in gain_sweep(width, n_points):
+            for k in range(n_points):
+                omega = k * np.pi / (n_points - 1)
                 fh.write(
-                    f"{width},{point.omega!r},"
-                    f"{point.sliding.magnitude!r},{point.cell.magnitude!r}\n"
+                    f"{width},{omega!r},{sliding_window_gain(width, omega).magnitude!r},"
+                    f"{dc_gain(width, omega).magnitude!r}\n"
                 )
     return path

@@ -24,8 +24,7 @@ never change the output.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
@@ -91,7 +90,6 @@ class ExperimentConfig:
     class1_mean: float = 0.2
     stddev: float = 0.1
     significance: float = 0.05
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -187,22 +185,6 @@ def _run_single(method: Method, ctx: _DatasetContext) -> MethodResult:
         labels = dca.run_dca(signals, population)
         return MethodResult(_error_rate(labels, truths), None, None)
     raise ValueError(f"unknown method {method}")
-
-
-def run_method(
-    method: Method, dataset: Dataset, config: ExperimentConfig | None = None
-) -> MethodResult:
-    """Evaluate one method configuration on one dataset."""
-    cfg = config if config is not None else ExperimentConfig(seed=0)
-    return _run_single(Method(method), _DatasetContext(dataset, cfg))
-
-
-def evaluate_dataset(
-    dataset: Dataset, config: ExperimentConfig
-) -> dict[Method, MethodResult]:
-    """Evaluate every configured method, training the classifier only once."""
-    ctx = _DatasetContext(dataset, config)
-    return {method: _run_single(method, ctx) for method in config.methods}
 
 
 @dataclass(frozen=True)
@@ -485,23 +467,15 @@ def emit_outputs(
     results: ResultsTable,
     report: AnalysisReport,
     config: ExperimentConfig,
-    out_dir=None,
-    sweep_widths: tuple[int, ...] = (2, 4, 8, 16),
-    sweep_points: int = 256,
+    out_dir,
 ) -> dict[str, Path]:
     """Write error_rates.csv, stats_report.csv, gain_sweeps.csv and summary.txt."""
-    if out_dir is None:
-        out_dir = config.out_dir
-    if out_dir is None:
-        raise ValueError("no output directory given (argument or config.out_dir)")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "error_rates": results.write_csv(out_dir / "error_rates.csv"),
         "stats_report": write_stats_report(report, out_dir / "stats_report.csv"),
-        "gain_sweeps": freq.write_gain_sweeps(
-            out_dir / "gain_sweeps.csv", widths=sweep_widths, n_points=sweep_points
-        ),
+        "gain_sweeps": freq.write_gain_sweeps(out_dir / "gain_sweeps.csv"),
         "summary": write_summary(report, config, out_dir / "summary.txt"),
     }
     return paths

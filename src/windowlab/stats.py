@@ -69,12 +69,6 @@ class TestReport:
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.test},{self.statistic!r},{self.p_value!r},"
-            f"{self.alternative},{self.n_effective}"
-        )
-
 
 @dataclass(frozen=True)
 class TestSelection:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import InstanceSeries, require_finite
+from .datagen import InstanceSeries, read_only, require_finite
 
 #: Default stopping tolerance on the maximal KKT violation.
 KKT_TOL = 1e-3
@@ -34,7 +34,7 @@ MAX_PAIR_UPDATES = 1_000_000
 
 
 class ConvergenceError(RuntimeError):
-    """Training exceeded its pair-update budget before reaching tolerance."""
+    """Training ran out of pair updates, or its gap overflowed, before reaching tolerance."""
 
 
 class DegenerateModelError(ValueError):
@@ -64,8 +64,8 @@ class ScoreSeries:
     truths: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=float)
-        truths = np.asarray(self.truths, dtype=int)
+        scores = read_only(self.scores, float)
+        truths = read_only(self.truths, int)
         if scores.shape != truths.shape or scores.ndim != 1:
             raise ValueError("scores and truths must be 1-d arrays of equal length")
         require_finite(scores, "score")
@@ -77,7 +77,7 @@ class ScoreSeries:
 
 
 def train(
-    train_set,
+    series: InstanceSeries,
     C: float = 1.0,
     *,
     tol: float = KKT_TOL,
@@ -87,9 +87,8 @@ def train(
 
     Raises ``ValueError`` if only one class is present or ``C <= 0``, and
     ``ConvergenceError`` if the violation gap has not closed within
-    ``max_pair_updates`` two-variable steps.
+    ``max_pair_updates`` two-variable steps or stops being finite.
     """
-    series = InstanceSeries.coerce(train_set)
     if len(series) == 0:
         raise ValueError("training set is empty")
     if not C > 0:
@@ -109,12 +108,14 @@ def train(
     low_ok = ~up_ok
     gap = np.inf
 
-    for _ in range(max_pair_updates):
+    for update in range(max_pair_updates):
         up = np.where(up_ok, crit, -np.inf)
         low = np.where(low_ok, crit, np.inf)
         i = int(np.argmax(up))
         j = int(np.argmin(low))
         gap = up[i] - low[j]
+        if not -np.inf < gap < np.inf:  # overflow, which would pass as converged
+            raise ConvergenceError(f"violation gap is {gap} at pair update {update}")
         if gap <= tol:
             break
         # Move t along (+y_i e_i, -y_j e_j), which preserves sum(y a).
@@ -160,37 +161,14 @@ def _bias(alphas: np.ndarray, y: np.ndarray, crit: np.ndarray, C: float) -> floa
     return float((hi + lo) / 2.0)
 
 
-def dual_objective(model: LinearModel, train_set) -> float:
+def dual_objective(model: LinearModel, series: InstanceSeries) -> float:
     """Value of the maximized dual at the model's coefficients."""
-    series = InstanceSeries.coerce(train_set)
     w = series.features.T @ (model.alphas * series.labels)
     return float(model.alphas.sum() - 0.5 * float(w @ w))
 
 
-def decision_value(model: LinearModel, x) -> float:
-    """Affine score ``<w, x> + b``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != model.w.shape:
-        raise ValueError(f"expected a vector of length {model.w.shape[0]}, got shape {x.shape}")
-    return float(model.w @ x + model.b)
-
-
-def signed_distance(model: LinearModel, x) -> float:
-    """Signed perpendicular distance from the decision boundary to ``x``."""
-    norm = float(np.linalg.norm(model.w))
-    if norm == 0.0:
-        raise DegenerateModelError("weight vector is zero; distances are undefined")
-    return decision_value(model, x) / norm
-
-
-def predict(model: LinearModel, x) -> int:
-    """Class label: +1 when the decision value is >= 0, else -1."""
-    return 1 if decision_value(model, x) >= 0 else -1
-
-
-def score_series(model: LinearModel, test_set) -> ScoreSeries:
+def score_series(model: LinearModel, series: InstanceSeries) -> ScoreSeries:
     """Signed distances for a time-ordered block, in time order."""
-    series = InstanceSeries.coerce(test_set)
     if len(series) == 0:
         return ScoreSeries(np.empty(0), np.empty(0, dtype=int))
     norm = float(np.linalg.norm(model.w))
@@ -198,30 +176,3 @@ def score_series(model: LinearModel, test_set) -> ScoreSeries:
         raise DegenerateModelError("weight vector is zero; distances are undefined")
     scores = (series.features @ model.w + model.b) / norm
     return ScoreSeries(scores, series.labels)
-
-
-def dump_model(model: LinearModel) -> str:
-    """Plain-text snapshot (weights, bias, C, support indexes) for debugging."""
-    lines = [
-        "w=" + ",".join(repr(float(v)) for v in model.w),
-        f"b={model.b!r}",
-        f"C={model.C!r}",
-        "support=" + ",".join(str(int(i)) for i in model.support_indexes),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def parse_model_dump(text: str) -> dict:
-    """Parse ``dump_model`` output back into plain Python values."""
-    out: dict = {}
-    for line in text.strip().splitlines():
-        key, _, value = line.partition("=")
-        if key == "w":
-            out["w"] = [float(v) for v in value.split(",") if v]
-        elif key in ("b", "C"):
-            out[key] = float(value)
-        elif key == "support":
-            out["support"] = [int(v) for v in value.split(",") if v]
-        else:
-            raise ValueError(f"unrecognized line in model dump: {line!r}")
-    return out

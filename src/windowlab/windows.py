@@ -34,12 +34,8 @@ class DegenerateGridError(ValueError):
     """All score magnitudes are zero, so no positive threshold grid exists."""
 
 
-def sgn(x: float) -> int:
-    """Sign with the convention sgn(0) = +1."""
-    return 1 if x >= 0 else -1
-
-
 def _sgn_array(values: np.ndarray) -> np.ndarray:
+    """Signs with the convention sgn(0) = +1."""
     return np.where(np.asarray(values) >= 0, 1, -1)
 
 
@@ -90,52 +86,12 @@ class ThresholdGrid:
 
 
 @dataclass(frozen=True)
-class WindowPartition:
-    """Disjoint, contiguous index intervals covering [1, n] (1-based, inclusive)."""
-
-    spans: tuple[tuple[int, int], ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("partition length must be >= 1")
-        expected = 1
-        for start, end in self.spans:
-            if start != expected or end < start:
-                raise ValueError(f"spans are not a contiguous cover of [1, {self.n}]")
-            expected = end + 1
-        if expected != self.n + 1:
-            raise ValueError(f"spans are not a contiguous cover of [1, {self.n}]")
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.spans)
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-
-@dataclass(frozen=True)
 class TunedFilter:
     """Result of grid tuning: the filter kind, its parameter and training error."""
 
     kind: Literal["static", "dynamic"]
     parameter: float
     training_error: float
-
-    def csv_row(self) -> str:
-        return f"{self.kind},{self.parameter!r},{self.training_error!r}"
-
-
-def static_partition(n: int, alpha: int) -> WindowPartition:
-    """Fixed-width windows [1+(k-1)a, min(ka, n)]; the last may be short."""
-    if n < 1:
-        raise ValueError(f"series length must be >= 1, got {n}")
-    if alpha < 1:
-        raise ValueError(f"window size must be >= 1, got {alpha}")
-    spans = tuple(
-        (start, min(start + alpha - 1, n)) for start in range(1, n + 1, alpha)
-    )
-    return WindowPartition(spans, n)
 
 
 def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
@@ -151,25 +107,34 @@ def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
     return np.repeat(_sgn_array(sums), lengths)
 
 
-def window_error(labels, truths) -> float:
-    """Mean squared label disagreement; equals 4x the misclassified fraction."""
-    labels = np.asarray(labels, dtype=float)
-    truths = np.asarray(truths, dtype=float)
-    if labels.shape != truths.shape:
-        raise ValueError(
-            f"label/truth length mismatch: {labels.shape} vs {truths.shape}"
-        )
-    return float(np.mean((labels - truths) ** 2))
+def _positive_counts(series: ScoreSeries) -> np.ndarray:
+    """Prefix counts of positive truths; the tuners' wrong-label counts need +-1 truths."""
+    if len(series) == 0 or not np.all(np.abs(series.truths) == 1):
+        raise ValueError("score series must be nonempty, with truth labels -1 or +1")
+    return np.concatenate([[0], np.cumsum(series.truths > 0)])
+
+
+def _wrong_labels(sums: np.ndarray, starts: np.ndarray, stops: np.ndarray, cum_pos) -> int:
+    """Instances whose window-sum sign differs from their truth: a window labeled
+    +1 gets its negatives wrong, one labeled -1 its positives."""
+    pos = cum_pos[stops] - cum_pos[starts]
+    return np.where(sums >= 0, stops - starts - pos, pos).sum()
 
 
 def tune_static(series: ScoreSeries, grid: WindowSizeGrid) -> TunedFilter:
-    """Width in the grid minimizing training error; ties go to the smallest."""
-    best_alpha, best_err = None, np.inf
-    for alpha in grid.sizes:
-        err = window_error(static_label(series, alpha), series.truths)
-        if err < best_err:
-            best_alpha, best_err = alpha, err
-    return TunedFilter("static", float(best_alpha), best_err)
+    """Width in the grid minimizing training error; ties go to the smallest.
+    Wrong labels are counted per window, as in ``tune_dynamic``; the window
+    sums stay ``reduceat`` sums, which ``static_label`` signs."""
+    cum_pos = _positive_counts(series)
+    n = len(series)
+    wrong = np.empty(grid.m, dtype=np.int64)
+    for k, alpha in enumerate(grid.sizes):
+        starts = np.arange(0, n, alpha)
+        stops = np.minimum(starts + alpha, n)
+        wrong[k] = _wrong_labels(np.add.reduceat(series.scores, starts), starts, stops, cum_pos)
+    errors = (4 * wrong) / n
+    best = int(np.argmin(errors))
+    return TunedFilter("static", float(grid.sizes[best]), float(errors[best]))
 
 
 def make_threshold_grid(series: ScoreSeries, m: int, lam: float) -> ThresholdGrid:
@@ -217,24 +182,13 @@ def budget_walk(
         yield np.fromiter(edges, np.intp, len(edges))
 
 
-def _dynamic_edges(series: ScoreSeries, beta: float) -> np.ndarray:
-    """Window edges of the budget-``beta`` windows: a one-lane walk."""
+def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
+    """Label every instance with the sign of its dynamic window's score sum."""
     if len(series) == 0:
         raise ValueError("score series is empty")
     if not beta > 0:
         raise ValueError(f"threshold must be > 0, got {beta}")
-    return next(budget_walk(np.cumsum(np.abs(series.scores)), [float(beta)], "right"))
-
-
-def dynamic_partition(series: ScoreSeries, beta: float) -> WindowPartition:
-    """Budget-driven windows over the series' absolute scores."""
-    edges = _dynamic_edges(series, beta)
-    return WindowPartition(tuple(zip((edges[:-1] + 1).tolist(), edges[1:].tolist())), len(series))
-
-
-def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
-    """Label every instance with the sign of its dynamic window's score sum."""
-    edges = _dynamic_edges(series, beta)
+    edges = next(budget_walk(np.cumsum(np.abs(series.scores)), [float(beta)], "right"))
     cum = np.concatenate([[0.0], np.cumsum(series.scores)])
     return np.repeat(_sgn_array(np.diff(cum[edges])), np.diff(edges))
 
@@ -242,17 +196,14 @@ def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
 def tune_dynamic(series: ScoreSeries, grid: ThresholdGrid) -> TunedFilter:
     """Budget in the grid minimizing training error; ties go to the smallest.
     With every budget a lane, wrong labels are counted per window from prefix
-    sums: ``4 * wrong / n`` equals ``window_error`` of ``dynamic_label``."""
-    if len(series) == 0 or not np.all(np.abs(series.truths) == 1):
-        raise ValueError("score series must be nonempty, with truth labels -1 or +1")
+    sums; ``4 * wrong / n`` is the mean squared error of ``dynamic_label``."""
+    cum_pos = _positive_counts(series)
     cum = np.concatenate([[0.0], np.cumsum(series.scores)])
-    cum_pos = np.concatenate([[0], np.cumsum(series.truths > 0)])
     wrong = np.empty(grid.m, dtype=np.int64)
     walk = budget_walk(np.cumsum(np.abs(series.scores)), grid.thresholds, "right")
     for lane, edges in enumerate(walk):
         starts, stops = edges[:-1], edges[1:]
-        pos = cum_pos[stops] - cum_pos[starts]
-        wrong[lane] = np.where(cum[stops] - cum[starts] >= 0, stops - starts - pos, pos).sum()
+        wrong[lane] = _wrong_labels(cum[stops] - cum[starts], starts, stops, cum_pos)
     errors = (4 * wrong) / len(series)
     best = int(np.argmin(errors))
     return TunedFilter("dynamic", float(grid.thresholds[best]), float(errors[best]))

@@ -7,7 +7,6 @@ from windowlab.datagen import (
     Dataset,
     GeneratorConfig,
     InstanceSeries,
-    LabeledInstance,
     centroid_distance,
     generate_benchmark_suite,
     generate_dataset,
@@ -158,19 +157,12 @@ class TestCentroidDistance:
 
 
 class TestInstanceSeries:
-    def test_instances_round_trip(self):
-        ds = generate_dataset(small_config(n_train=8, n_test=8))
-        rebuilt = InstanceSeries.from_instances(ds.train.instances())
-        assert np.array_equal(rebuilt.features, ds.train.features)
-        assert np.array_equal(rebuilt.labels, ds.train.labels)
-
-    def test_from_instances_rejects_gappy_time_index(self):
-        bad = [
-            LabeledInstance((0.0, 0.0), -1, 1),
-            LabeledInstance((0.0, 0.0), -1, 3),
-        ]
+    def test_from_instances_rejects_gappy_time_index(self, tmp_path):
+        # Rows carry no time index of their own; CSV input is where a gap can appear.
+        path = tmp_path / "gappy_train.csv"
+        path.write_text("time_index,f1,f2,label\n1,0.0,0.0,-1\n3,0.0,0.0,-1\n")
         with pytest.raises(ValueError, match="consecutive"):
-            InstanceSeries.from_instances(bad)
+            read_series_csv(path)
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
@@ -182,6 +174,25 @@ class TestInstanceSeries:
         feats[2, 1] = bad
         with pytest.raises(ValueError, match=rf"feature f2 is {bad} at time index 3"):
             InstanceSeries(feats, np.array([-1, -1, 1, 1]))
+
+    def test_in_place_nan_write_rejected(self):
+        # A writeable block would let this NaN past the constructor's check:
+        # the solver then ran every pair update, and preprocess made it the danger signal.
+        ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=8))
+        with pytest.raises(ValueError, match="read-only"):
+            ds.train.features[417, 1] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            ds.train.labels[0] = 0
+        assert np.isfinite(ds.train.features).all()
+
+    def test_keeps_its_own_copy(self):
+        feats = np.zeros((4, 2))
+        labels = np.array([-1, -1, 1, 1])
+        series = InstanceSeries(feats, labels)
+        feats[0, 0] = np.nan
+        labels[0] = 0
+        assert np.isfinite(series.features).all()
+        assert series.labels[0] == -1
 
 
 class TestCsv:

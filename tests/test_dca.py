@@ -19,7 +19,6 @@ from windowlab.dca import (
     run_dca,
     run_dca_scores,
     signal_transform,
-    write_score_dump,
 )
 from windowlab.windows import budget_walk
 
@@ -291,13 +290,3 @@ class TestRunDca:
         sig = signals_from([], [])
         with pytest.raises(ValueError, match="empty"):
             run_dca(sig, DCAPopulation.from_lifespans([1.0]))
-
-    def test_score_dump_format(self, tmp_path):
-        sig = signals_from([0.0, 0.5], [0.5, 0.5])
-        scores = run_dca_scores(sig, DCAPopulation.from_lifespans([0.5]))
-        path = tmp_path / "dump.csv"
-        write_score_dump(scores, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time_index,mean_vote,label"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,")

@@ -5,7 +5,6 @@ import oracles
 from windowlab.freq import (
     FrequencyResponse,
     dc_gain,
-    gain_sweep,
     sliding_window_gain,
     sliding_window_output,
     write_gain_sweeps,
@@ -109,25 +108,32 @@ class TestSinusoidSteadyState:
         )
 
 
+def sweep_rows(path, widths, n_points):
+    """``gain_sweeps.csv`` rows as (W, omega, |G_S|, |G_D|) tuples."""
+    lines = write_gain_sweeps(path, widths=widths, n_points=n_points).read_text().splitlines()
+    return [(int(w), *map(float, rest)) for w, *rest in (line.split(",") for line in lines[1:])]
+
+
 class TestGainSweep:
-    def test_two_point_sweep_hits_endpoints(self):
-        sweep = gain_sweep(4, 2)
-        assert [p.omega for p in sweep] == pytest.approx([0.0, np.pi])
+    def test_two_point_sweep_hits_endpoints(self, tmp_path):
+        rows = sweep_rows(tmp_path / "gains.csv", (4,), 2)
+        assert [row[1] for row in rows] == pytest.approx([0.0, np.pi])
 
-    def test_first_row_always_unity(self):
-        for width in (2, 4, 8):
-            sweep = gain_sweep(width, 9)
-            assert sweep[0].sliding.magnitude == pytest.approx(1.0)
+    def test_first_row_always_unity(self, tmp_path):
+        rows = sweep_rows(tmp_path / "gains.csv", (2, 4, 8), 9)
+        for first in rows[::9]:
+            assert first[2] == pytest.approx(1.0)
 
-    def test_sweep_matches_pointwise_calls(self):
-        sweep = gain_sweep(3, 5)
-        for point in sweep:
-            assert point.sliding.gain == sliding_window_gain(3, point.omega).gain
-            assert point.cell.gain == dc_gain(3, point.omega).gain
+    def test_sweep_matches_pointwise_calls(self, tmp_path):
+        rows = sweep_rows(tmp_path / "gains.csv", (3,), 5)
+        assert len(rows) == 5
+        for width, omega, sliding, cell in rows:
+            assert sliding == sliding_window_gain(width, omega).magnitude
+            assert cell == dc_gain(width, omega).magnitude
 
-    def test_rejects_short_sweep(self):
+    def test_rejects_short_sweep(self, tmp_path):
         with pytest.raises(ValueError):
-            gain_sweep(3, 1)
+            write_gain_sweeps(tmp_path / "gains.csv", widths=(3,), n_points=1)
 
     def test_csv_output(self, tmp_path):
         path = write_gain_sweeps(tmp_path / "gains.csv", widths=(2, 4), n_points=5)

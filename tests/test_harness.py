@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from windowlab.datagen import GeneratorConfig, generate_dataset
 from windowlab.harness import (
     ALL_METHODS,
     AnalysisReport,
@@ -13,10 +12,8 @@ from windowlab.harness import (
     ResultsTable,
     analyze,
     emit_outputs,
-    evaluate_dataset,
     run_experiment,
     run_experiment_detailed,
-    run_method,
     write_stats_report,
     write_summary,
 )
@@ -30,74 +27,71 @@ def small_table():
     return run_experiment(cfg), cfg
 
 
-def small_dataset(class2_mean=0.5, seed=21):
-    return generate_dataset(
-        GeneratorConfig(class2_mean=class2_mean, seed=seed, n_train=200, n_test=200)
-    )
+def two_dataset_run(methods=ALL_METHODS, **overrides):
+    """Per-dataset results of a 2-dataset suite: dataset 0 overlaps completely
+    (both class means 0.2), dataset 1 is separable (0.2 against 0.8)."""
+    settings = {**SMALL, **overrides}
+    return run_experiment_detailed(
+        ExperimentConfig(seed=21, n_datasets=2, methods=tuple(methods), **settings)
+    )[1]
+
+
+@pytest.fixture(scope="module")
+def two_datasets():
+    return two_dataset_run()
 
 
 class TestRunMethod:
-    def test_lnc_returns_error_and_model(self):
-        result = run_method(Method.LNC, small_dataset())
-        assert 0.0 <= result.error_rate <= 1.0
-        assert result.model is not None
-        assert result.tuned_parameter is None
+    def test_lnc_returns_error_and_model(self, two_datasets):
+        for per_method in two_datasets:
+            result = per_method[Method.LNC]
+            assert 0.0 <= result.error_rate <= 1.0
+            assert result.model is not None
+            assert result.tuned_parameter is None
 
-    def test_smov_records_tuned_width(self):
-        cfg = ExperimentConfig(seed=0, **SMALL)
-        result = run_method(Method.SMOV, small_dataset(), cfg)
-        assert result.tuned_parameter is not None
-        assert 1 <= result.tuned_parameter <= cfg.window_grid
+    def test_smov_records_tuned_width(self, two_datasets):
+        for per_method in two_datasets:
+            tuned = per_method[Method.SMOV].tuned_parameter
+            assert tuned is not None and 1 <= tuned <= SMALL["window_grid"]
 
-    def test_dmov_records_tuned_budget(self):
-        cfg = ExperimentConfig(seed=0, **SMALL)
-        result = run_method(Method.DMOV2, small_dataset(), cfg)
-        assert result.tuned_parameter is not None and result.tuned_parameter > 0
+    def test_dmov_records_tuned_budget(self, two_datasets):
+        for per_method in two_datasets:
+            tuned = per_method[Method.DMOV2].tuned_parameter
+            assert tuned is not None and tuned > 0
 
-    def test_dca_runs_without_svm(self):
-        result = run_method(Method.DCA1, small_dataset())
-        assert result.model is None
-        assert 0.0 <= result.error_rate <= 1.0
+    def test_dca_runs_without_svm(self, two_datasets):
+        for per_method in two_datasets:
+            assert per_method[Method.DCA1].model is None
+            assert 0.0 <= per_method[Method.DCA1].error_rate <= 1.0
 
     def test_width_one_grid_reduces_smov_to_lnc(self):
-        cfg = ExperimentConfig(seed=0, window_grid=1, **{k: v for k, v in SMALL.items() if k != "window_grid"})
-        ds = small_dataset(class2_mean=0.3)
-        lnc = run_method(Method.LNC, ds, cfg)
-        smov = run_method(Method.SMOV, ds, cfg)
-        assert smov.error_rate == lnc.error_rate
+        for per_method in two_dataset_run((Method.LNC, Method.SMOV), window_grid=1):
+            assert per_method[Method.SMOV].error_rate == per_method[Method.LNC].error_rate
 
     def test_tiny_budget_reduces_dmov_to_lnc(self):
-        cfg = ExperimentConfig(seed=0, lambda_low=1e-9, **SMALL)
-        ds = small_dataset(class2_mean=0.3)
-        lnc = run_method(Method.LNC, ds, cfg)
-        dmov = run_method(Method.DMOV1, ds, cfg)
-        assert dmov.error_rate == lnc.error_rate
+        for per_method in two_dataset_run((Method.LNC, Method.DMOV1), lambda_low=1e-9):
+            assert per_method[Method.DMOV1].error_rate == per_method[Method.LNC].error_rate
 
-    def test_separable_dataset_lnc_error_near_zero(self):
-        result = run_method(Method.LNC, small_dataset(class2_mean=0.8))
-        assert result.error_rate < 0.01
+    def test_separable_dataset_lnc_error_near_zero(self, two_datasets):
+        assert two_datasets[1][Method.LNC].error_rate < 0.01
 
-    def test_overlapping_dataset_everyone_near_chance(self):
-        cfg = ExperimentConfig(seed=0, **SMALL)
-        ds = small_dataset(class2_mean=0.2, seed=5)
+    def test_overlapping_dataset_everyone_near_chance(self, two_datasets):
         for method in ALL_METHODS:
-            err = run_method(method, ds, cfg).error_rate
-            assert 0.3 <= err <= 0.7, method
+            assert 0.3 <= two_datasets[0][method].error_rate <= 0.7, method
 
 
 class TestEvaluateDataset:
-    def test_trains_one_model_for_all_svm_methods(self):
-        cfg = ExperimentConfig(seed=0, **SMALL)
-        results = evaluate_dataset(small_dataset(), cfg)
-        models = {id(results[m].model) for m in (Method.LNC, Method.SMOV, Method.DMOV1)}
-        assert len(models) == 1
+    def test_trains_one_model_for_all_svm_methods(self, two_datasets):
+        for per_method in two_datasets:
+            models = {id(per_method[m].model) for m in (Method.LNC, Method.SMOV, Method.DMOV1)}
+            assert len(models) == 1
 
-    def test_matches_standalone_run_method(self):
-        cfg = ExperimentConfig(seed=0, **SMALL)
-        ds = small_dataset()
-        results = evaluate_dataset(ds, cfg)
-        for method in cfg.methods:
-            assert results[method].error_rate == run_method(method, ds, cfg).error_rate
+    def test_matches_standalone_run_method(self, two_datasets):
+        # Sharing one model and score series across methods changes no result.
+        for method in ALL_METHODS:
+            alone = two_dataset_run((method,))
+            for shared, single in zip(two_datasets, alone):
+                assert shared[method].error_rate == single[method].error_rate
 
 
 class TestRunExperiment:
@@ -235,17 +229,6 @@ class TestOutputs:
         assert "ascending error" in text
         for method in report.ordering:
             assert str(method) in text
-
-    def test_emit_outputs_uses_config_out_dir(self, small_table, tmp_path):
-        import dataclasses
-
-        table, cfg = small_table
-        report = analyze(table)
-        cfg_with_dir = dataclasses.replace(cfg, out_dir=str(tmp_path / "from_cfg"))
-        paths = emit_outputs(table, report, cfg_with_dir)
-        assert all(p.parent == tmp_path / "from_cfg" for p in paths.values())
-        with pytest.raises(ValueError, match="output directory"):
-            emit_outputs(table, report, cfg)
 
     def test_emitted_csvs_deterministic(self, small_table, tmp_path):
         table, cfg = small_table

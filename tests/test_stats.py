@@ -192,10 +192,6 @@ class TestChooseTest:
 
 
 class TestReportShape:
-    def test_csv_row(self):
-        report = TestReport("wilcoxon-signed-rank", 15.0, 0.03125, "a-greater", 5)
-        assert report.csv_row() == "wilcoxon-signed-rank,15.0,0.03125,a-greater,5"
-
     def test_p_value_bounds_enforced(self):
         with pytest.raises(ValueError):
             TestReport("x", 0.0, 1.5, "two-sided", 3)

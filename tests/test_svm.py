@@ -10,13 +10,8 @@ from windowlab.svm import (
     DegenerateModelError,
     LinearModel,
     ScoreSeries,
-    decision_value,
     dual_objective,
-    dump_model,
-    parse_model_dump,
-    predict,
     score_series,
-    signed_distance,
     train,
 )
 
@@ -32,6 +27,16 @@ TWO_POINTS = series([(0.0, 0.0), (1.0, 1.0)], [-1, 1])
 FOUR_POINTS = series([(0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (2.0, 1.0)], [-1, -1, 1, 1])
 
 
+def fixed_model(w, b):
+    return LinearModel(w=np.array(w, dtype=float), b=b, alphas=np.zeros(1), C=1.0)
+
+
+def distances(m, points):
+    """Signed distances of bare points, through ``score_series``."""
+    points = np.array(points, dtype=float)
+    return score_series(m, series(points, np.ones(len(points), dtype=int))).scores
+
+
 def random_separable(rng, n=40):
     feats = rng.normal(0, 1, (n, 2))
     labels = np.where(feats[:, 0] + 0.3 > 0, 1, -1)
@@ -44,9 +49,9 @@ class TestTrainBasics:
         model = train(TWO_POINTS, C=1.0)
         w = model.w / np.linalg.norm(model.w)
         assert w == pytest.approx([np.sqrt(0.5), np.sqrt(0.5)], abs=1e-6)
-        assert decision_value(model, (0.5, 0.5)) == pytest.approx(0.0, abs=1e-9)
-        for inst in TWO_POINTS.instances():
-            assert predict(model, inst.features) == inst.label
+        assert model.w @ (0.5, 0.5) + model.b == pytest.approx(0.0, abs=1e-9)
+        signs = np.where(score_series(model, TWO_POINTS).scores >= 0, 1, -1)
+        assert np.array_equal(signs, TWO_POINTS.labels)
 
     def test_four_point_hand_geometry(self):
         model = train(FOUR_POINTS, C=100.0, tol=1e-10)
@@ -73,9 +78,18 @@ class TestTrainBasics:
         with pytest.raises(ConvergenceError):
             train(overlapping, C=1.0, max_pair_updates=1)
 
-    def test_training_accepts_instance_list(self):
-        model = train(TWO_POINTS.instances(), C=1.0)
-        assert predict(model, (1.0, 1.0)) == 1
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gap_stops_the_solver(self):
+        # A finite but huge feature overflows the kernel products: the gap is
+        # NaN from the first update on, and once it read -inf (update 501) it
+        # passed as converged and train returned NaN weights without an error.
+        ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=8))
+        feats = ds.train.features.copy()
+        feats[0, 0] = 1e200
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="violation gap is -?(nan|inf) at pair update"):
+            train(InstanceSeries(feats, ds.train.labels))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDualConstraints:
@@ -134,7 +148,7 @@ class TestDualConstraints:
         rng = np.random.default_rng(4)
         ds = random_separable(rng, n=60)
         model = train(ds, C=1e4, tol=1e-8)
-        preds = np.array([predict(model, x) for x in ds.features])
+        preds = np.where(score_series(model, ds).scores >= 0, 1, -1)
         assert np.array_equal(preds, ds.labels)
         margins = ds.labels * (ds.features @ model.w + model.b)
         assert margins.min() >= 1 - 1e-6
@@ -168,37 +182,33 @@ class TestBruteForceEquivalence:
 
 class TestDecisionOps:
     def test_decision_value_examples(self):
-        m = LinearModel(w=np.array([1.0, 0.0]), b=-0.5, alphas=np.zeros(1), C=1.0)
-        assert decision_value(m, (0.5, 7.0)) == pytest.approx(0.0)
-        m2 = LinearModel(w=np.array([2.0, 1.0]), b=1.0, alphas=np.zeros(1), C=1.0)
-        assert decision_value(m2, (1.0, 1.0)) == pytest.approx(4.0)
+        # A score times ||w|| is the affine decision value <w, x> + b.
+        assert distances(fixed_model([1.0, 0.0], -0.5), [(0.5, 7.0)]) == pytest.approx([0.0])
+        m2 = fixed_model([2.0, 1.0], 1.0)
+        assert distances(m2, [(1.0, 1.0)]) * np.linalg.norm(m2.w) == pytest.approx([4.0])
 
     def test_decision_value_dimension_mismatch(self):
-        m = LinearModel(w=np.array([1.0, 0.0]), b=0.0, alphas=np.zeros(1), C=1.0)
-        with pytest.raises(ValueError, match="length 2"):
-            decision_value(m, (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError):
+            distances(fixed_model([1.0, 0.0], 0.0), [(1.0, 2.0, 3.0)])
 
     def test_signed_distance_examples(self):
-        m = LinearModel(w=np.array([3.0, 4.0]), b=0.0, alphas=np.zeros(1), C=1.0)
-        assert signed_distance(m, (1.0, 0.0)) == pytest.approx(0.6)
-        assert signed_distance(m, (0.0, 0.0)) == pytest.approx(0.0)
+        m = fixed_model([3.0, 4.0], 0.0)
+        assert distances(m, [(1.0, 0.0), (0.0, 0.0)]) == pytest.approx([0.6, 0.0])
 
     def test_signed_distance_scale_invariance(self):
-        m = LinearModel(w=np.array([3.0, 4.0]), b=-1.0, alphas=np.zeros(1), C=1.0)
-        scaled = LinearModel(w=m.w * 7.5, b=m.b * 7.5, alphas=m.alphas, C=m.C)
-        for x in [(0.2, 0.3), (-1.0, 2.0), (0.0, 0.0)]:
-            assert signed_distance(scaled, x) == pytest.approx(signed_distance(m, x))
+        m = fixed_model([3.0, 4.0], -1.0)
+        scaled = fixed_model(m.w * 7.5, m.b * 7.5)
+        points = [(0.2, 0.3), (-1.0, 2.0), (0.0, 0.0)]
+        assert distances(scaled, points) == pytest.approx(distances(m, points))
 
     def test_degenerate_model_rejected(self):
-        m = LinearModel(w=np.zeros(2), b=0.0, alphas=np.zeros(1), C=1.0)
         with pytest.raises(DegenerateModelError):
-            signed_distance(m, (1.0, 1.0))
+            distances(fixed_model([0.0, 0.0], 0.0), [(1.0, 1.0)])
 
     def test_predict_sign_convention(self):
-        m = LinearModel(w=np.array([1.0, 0.0]), b=0.0, alphas=np.zeros(1), C=1.0)
-        assert predict(m, (0.0, 5.0)) == 1  # decision value exactly 0
-        assert predict(m, (-0.3, 0.0)) == -1
-        assert predict(m, (2.5, 0.0)) == 1
+        # A point on the boundary scores exactly 0, which LNC labels +1.
+        out = distances(fixed_model([1.0, 0.0], 0.0), [(0.0, 5.0), (-0.3, 0.0), (2.5, 0.0)])
+        assert out[0] == 0.0 and out[1] < 0 < out[2]
 
 
 class TestScoreSeries:
@@ -219,7 +229,7 @@ class TestScoreSeries:
         model = train(ds.train, C=1.0)
         out = score_series(model, ds.test)
         for score, x in zip(out.scores, ds.test.features):
-            assert (1 if score >= 0 else -1) == predict(model, x)
+            assert (score >= 0) == (float(model.w @ x) + model.b >= 0)
 
     def test_truths_copied_in_order(self):
         cfg = GeneratorConfig(class2_mean=0.5, seed=8, n_train=80, n_test=80)
@@ -236,6 +246,16 @@ class TestScoreSeries:
         with pytest.raises(ValueError, match=rf"score is {bad} at time index 2"):
             ScoreSeries(np.array([0.5, bad, -0.5]), np.array([1, 1, -1]))
 
+    def test_arrays_are_read_only_copies(self):
+        scores = np.array([0.5, -0.5])
+        out = ScoreSeries(scores, np.array([1, -1]))
+        scores[0] = np.nan
+        assert out.scores[0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            out.scores[1] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            out.truths[1] = 0
+
 
 def test_train_rejects_nan_feature_fast():
     # Without the check the NaN gap never closes and the solver runs every pair update.
@@ -247,12 +267,3 @@ def test_train_rejects_nan_feature_fast():
         train(InstanceSeries(feats, ds.train.labels))
     assert time.perf_counter() - start < 1.0
 
-
-class TestModelDump:
-    def test_round_trip(self):
-        model = train(FOUR_POINTS, C=100.0, tol=1e-10)
-        parsed = parse_model_dump(dump_model(model))
-        assert parsed["w"] == pytest.approx(list(model.w))
-        assert parsed["b"] == model.b
-        assert parsed["C"] == model.C
-        assert parsed["support"] == list(model.support_indexes)

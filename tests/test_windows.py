@@ -12,20 +12,15 @@ from windowlab.windows import (
     DegenerateGridError,
     ThresholdGrid,
     TunedFilter,
-    WindowPartition,
     WindowSizeGrid,
     apply,
     budget_walk,
     default_size_grid,
     dynamic_label,
-    dynamic_partition,
     make_threshold_grid,
-    sgn,
     static_label,
-    static_partition,
     tune_dynamic,
     tune_static,
-    window_error,
 )
 
 
@@ -91,39 +86,40 @@ def tuning_cases(draw):
 
 
 class TestSgn:
+    """Window labels take the sign of the window sum, with sgn(0) = +1."""
+
     def test_zero_is_positive(self):
-        assert sgn(0.0) == 1
+        assert list(static_label(make_series([0.5, -0.5]), 2)) == [1, 1]
 
     def test_tiny_negative(self):
-        assert sgn(-1e-12) == -1
+        assert list(static_label(make_series([0.5, -0.5 - 1e-12]), 2)) == [-1, -1]
 
     def test_positive(self):
-        assert sgn(3.7) == 1
+        assert list(static_label(make_series([3.7]), 1)) == [1]
 
 
 class TestStaticPartition:
+    """Fixed-width windows [1+(k-1)a, min(ka, n)], seen through their labels:
+    each window's scores sum to the sign it should give."""
+
     def test_uneven_tail(self):
-        part = static_partition(10, 3)
-        assert part.spans == ((1, 3), (4, 6), (7, 9), (10, 10))
+        out = static_label(make_series([1, 1, -3, -1, -1, 3, 1, 1, -3, 1]), 3)
+        assert list(out) == [-1, -1, -1, 1, 1, 1, -1, -1, -1, 1]
 
     def test_whole_series(self):
-        assert static_partition(10, 10).spans == ((1, 10),)
+        out = static_label(make_series([-1] * 9 + [10]), 10)
+        assert list(out) == [1] * 10
 
     def test_singletons(self):
-        assert len(static_partition(10, 1)) == 10
+        scores = [1, -1] * 5
+        assert list(static_label(make_series(scores), 1)) == scores
 
     def test_width_larger_than_series(self):
-        assert static_partition(4, 100).spans == ((1, 4),)
+        assert list(static_label(make_series([-1, -1, 3, -0.5]), 100)) == [1] * 4
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
-            static_partition(10, 0)
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            WindowPartition(((1, 2), (4, 5)), 5)
-        with pytest.raises(ValueError, match="contiguous"):
-            WindowPartition(((1, 5),), 4)
+            static_label(make_series([1.0] * 10), 0)
 
 
 class TestStaticLabel:
@@ -159,29 +155,36 @@ class TestStaticLabel:
     def test_full_width_equals_global_majority(self):
         scores = np.array([0.5, -0.2, -0.6, 0.1])
         out = static_label(make_series(scores), len(scores))
-        assert set(out) == {sgn(float(scores.sum()))}
+        assert set(out) == {oracles.sign_plus(float(scores.sum()))}
+
+
+def width_one_error(labels, truths) -> float:
+    """Training error of the one-width grid {1}: labels are the score signs."""
+    return tune_static(make_series(labels, truths), WindowSizeGrid((1,))).training_error
 
 
 class TestWindowError:
+    """The training error the tuners report: the mean squared label error."""
+
     def test_zero_when_equal(self):
-        assert window_error([1, -1, 1], [1, -1, 1]) == 0.0
+        assert width_one_error([1, -1, 1], [1, -1, 1]) == 0.0
 
     def test_one_disagreement_of_four(self):
-        assert window_error([1, 1, 1, 1], [1, 1, 1, -1]) == pytest.approx(1.0)
+        assert width_one_error([1, 1, 1, 1], [1, 1, 1, -1]) == 1.0
 
     def test_all_disagree(self):
-        assert window_error([1, 1], [-1, -1]) == pytest.approx(4.0)
+        assert width_one_error([1, 1], [-1, -1]) == 4.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            window_error([1, 1], [1])
+        with pytest.raises(ValueError, match="equal length"):
+            width_one_error([1, 1], [1])
 
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=50), st.randoms())
     @settings(max_examples=40, deadline=None)
     def test_four_times_hamming(self, truths, rnd):
         labels = [t if rnd.random() < 0.5 else -t for t in truths]
         mism = sum(1 for a, b in zip(labels, truths) if a != b) / len(truths)
-        assert window_error(labels, truths) == pytest.approx(4 * mism)
+        assert width_one_error(labels, truths) == pytest.approx(4 * mism)
 
 
 class TestTuneStatic:
@@ -256,35 +259,38 @@ class TestThresholdGrid:
             ThresholdGrid(np.array([0.0, 1.0]), 1.0)
 
 
+def dynamic_spans(scores, beta):
+    """0-based (start, end) dynamic windows: a one-lane walk over |scores|."""
+    (spans,) = lane_spans(np.cumsum(np.abs(scores)), [beta], "right")
+    return spans
+
+
 class TestDynamicPartition:
     def test_even_budget_split(self):
-        part = dynamic_partition(make_series([0.4, 0.4, 0.4, 0.4]), 0.8)
-        assert part.spans == ((1, 2), (3, 4))
+        assert dynamic_spans([0.4, 0.4, 0.4, 0.4], 0.8) == [(0, 1), (2, 3)]
 
     def test_singleton_floor(self):
-        part = dynamic_partition(make_series([1.0, 1.0]), 0.5)
-        assert part.spans == ((1, 1), (2, 2))
+        assert dynamic_spans([1.0, 1.0], 0.5) == [(0, 0), (1, 1)]
 
     def test_budget_below_everything_gives_singletons(self):
-        part = dynamic_partition(make_series([0.5, -0.7, 0.2]), 0.1)
-        assert len(part) == 3
+        assert len(dynamic_spans([0.5, -0.7, 0.2], 0.1)) == 3
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
-            dynamic_partition(make_series([1.0]), 0.0)
+            dynamic_label(make_series([1.0]), 0.0)
 
     @given(grid_score_lists, st.floats(min_value=0.05, max_value=20, allow_nan=False))
     @settings(max_examples=80, deadline=None)
     def test_matches_greedy_oracle_and_invariants(self, scores, beta):
-        series = make_series(scores)
-        part = dynamic_partition(series, beta)
-        ref = [(s + 1, e + 1) for s, e in oracles.dynamic_spans(scores, beta)]
-        assert list(part.spans) == ref
-        # WindowPartition.__post_init__ already enforces the cover; check sums.
         absr = np.abs(np.asarray(scores))
-        for start, end in part:
+        (edges,) = budget_walk(np.cumsum(absr), [beta], "right")
+        assert edges[0] == 0 and edges[-1] == len(scores)
+        assert np.all(np.diff(edges) > 0)  # a contiguous cover of nonempty windows
+        spans = list(zip(edges[:-1].tolist(), (edges[1:] - 1).tolist()))
+        assert spans == oracles.dynamic_spans(scores, beta)
+        for start, end in spans:
             if end > start:
-                assert absr[start - 1 : end].sum() <= beta + 1e-12
+                assert absr[start : end + 1].sum() <= beta + 1e-12
 
 
 class TestBudgetWalk:
@@ -403,7 +409,7 @@ class TestApply:
         train = make_series([0.4, 0.5, -0.3, -0.6], truths=[1, 1, -1, 1])
         tuned = tune_static(train, default_size_grid(4))
         test = make_series(train.scores.copy(), truths=train.truths.copy())
-        test_err = window_error(apply(tuned, test), test.truths)
+        test_err = oracles.mean_square_label_error(apply(tuned, test), test.truths)
         assert test_err == pytest.approx(tuned.training_error)
 
     def test_unknown_kind_rejected(self):
@@ -420,7 +426,7 @@ class TestTuningIsArgmin:
         grid = default_size_grid(12)
         tuned = tune_static(series, grid)
         for alpha in grid.sizes:
-            err = window_error(static_label(series, alpha), series.truths)
+            err = oracles.mean_square_label_error(static_label(series, alpha), series.truths)
             assert tuned.training_error <= err + 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
@@ -430,7 +436,9 @@ class TestTuningIsArgmin:
         grid = make_threshold_grid(series, 12, 1.0)
         tuned = tune_dynamic(series, grid)
         for beta in grid.thresholds:
-            err = window_error(dynamic_label(series, float(beta)), series.truths)
+            err = oracles.mean_square_label_error(
+                dynamic_label(series, float(beta)), series.truths
+            )
             assert tuned.training_error <= err + 1e-12
 
 
@@ -447,10 +455,6 @@ def test_tune_dynamic_memory_is_one_lane_at_a_time(lam):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
-
-
-def test_tuned_filter_csv_row():
-    assert TunedFilter("static", 3.0, 0.25).csv_row() == "static,3.0,0.25"
 
 
 def test_size_grid_sorts_and_dedupes():
