@@ -58,10 +58,10 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _parse_lambda(text: str) -> tuple[float, float]:
+def _parse_lambda(text: str, high: float) -> tuple[float, float]:
     parts = [p for p in str(text).split(",") if p != ""]
     if len(parts) == 1:
-        return float(parts[0]), _CONFIG.lambda_high
+        return float(parts[0]), high
     if len(parts) == 2:
         return float(parts[0]), float(parts[1])
     raise ValueError(f"--lambda takes one or two comma-separated values, got {text!r}")
@@ -79,15 +79,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None):
         settings.update(_read_config_file(args.config))
+    # A one-value --lambda keeps the high scale of the file, or of the defaults.
+    _, high = _parse_lambda(settings["lambda"], _CONFIG.lambda_high)
     for key in _CASTS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
+    settings["lambda"] = _parse_lambda(settings["lambda"], high)
     return settings
 
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
-    lam_low, lam_high = _parse_lambda(settings["lambda"])
+    lam_low, lam_high = settings["lambda"]
     return ExperimentConfig(
         seed=int(settings["seed"]),
         n_datasets=int(settings["datasets"]),

@@ -10,7 +10,8 @@ two-variable subproblem is solved analytically).  Pair selection follows the
 gradient-based rule: the most violating index from the "can increase" set is
 paired with the most violating index from the "can decrease" set; numpy's
 argmax/argmin resolve ties toward the lowest index, which makes training
-deterministic for a fixed instance order.
+deterministic for a fixed instance order.  Each set is a penalty vector (0 in,
+-inf/+inf out) added to the candidate biases, which updates edit in place.
 
 Scores downstream are the signed perpendicular distance to the learned
 hyperplane, ``(<w, x> + b) / ||w||``, so they are invariant to a positive
@@ -49,6 +50,9 @@ class LinearModel:
     b: float
     alphas: np.ndarray
     C: float
+    #: Pair updates the solver took, and its final maximal KKT violation.
+    pair_updates: int = 0
+    gap: float = np.nan
 
     @property
     def support_indexes(self) -> np.ndarray:
@@ -87,7 +91,8 @@ def train(
 
     Raises ``ValueError`` if only one class is present or ``C <= 0``, and
     ``ConvergenceError`` if the violation gap has not closed within
-    ``max_pair_updates`` two-variable steps or stops being finite.
+    ``max_pair_updates`` two-variable steps or stops being finite.  A +inf or
+    NaN candidate bias stops it even outside a set: plus the penalty it is NaN.
     """
     if len(series) == 0:
         raise ValueError("training set is empty")
@@ -100,17 +105,17 @@ def train(
 
     n = len(series)
     alphas = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the minimized form 1/2 a'Qa - 1'a
     sq_norms = np.einsum("ij,ij->i", X, X)
-    crit = -y * grad  # candidate bias per instance; updated alongside grad
-
-    up_ok = y > 0  # alpha at 0: +1 may increase, -1 may decrease
-    low_ok = ~up_ok
+    crit = y.copy()  # candidate bias, -y * gradient of 1/2 a'Qa - 1'a
+    # 0 where y * alpha may rise (fall), -inf (+inf) where not; alphas start at 0.
+    up_pen = np.where(y > 0, 0.0, -np.inf)
+    low_pen = np.where(y > 0, np.inf, 0.0)
+    up, low, col_i, col_j = (np.empty(n) for _ in range(4))
     gap = np.inf
 
     for update in range(max_pair_updates):
-        up = np.where(up_ok, crit, -np.inf)
-        low = np.where(low_ok, crit, np.inf)
+        np.add(crit, up_pen, out=up)
+        np.add(crit, low_pen, out=low)
         i = int(np.argmax(up))
         j = int(np.argmin(low))
         gap = up[i] - low[j]
@@ -126,11 +131,17 @@ def train(
         t = min(t, room_i, room_j)
         alphas[i] += y[i] * t
         alphas[j] -= y[j] * t
-        delta = t * (X @ X[i] - X @ X[j])
-        grad += y * delta
-        crit = -y * grad
-        _refresh_bounds(up_ok, low_ok, alphas, y, C, i)
-        _refresh_bounds(up_ok, low_ok, alphas, y, C, j)
+        # y = +-1, so -y * (grad + y * delta) == crit - delta bit for bit.
+        np.matmul(X, X[i], out=col_i)
+        np.matmul(X, X[j], out=col_j)
+        col_i -= col_j
+        col_i *= t
+        crit -= col_i
+        for k in (i, j):
+            a = alphas[k]
+            may_up, may_down = (a < C, a > 0) if y[k] > 0 else (a > 0, a < C)
+            up_pen[k] = 0.0 if may_up else -np.inf
+            low_pen[k] = 0.0 if may_down else np.inf
     else:
         raise ConvergenceError(
             f"no convergence within {max_pair_updates} pair updates (gap {gap:.3e})"
@@ -139,14 +150,9 @@ def train(
     np.clip(alphas, 0.0, C, out=alphas)
     w = X.T @ (alphas * y)
     b = _bias(alphas, y, crit, C)
-    return LinearModel(w=w, b=float(b), alphas=alphas, C=float(C))
-
-
-def _refresh_bounds(up_ok, low_ok, alphas, y, C, idx) -> None:
-    a = alphas[idx]
-    pos = y[idx] > 0
-    up_ok[idx] = (pos and a < C) or (not pos and a > 0)
-    low_ok[idx] = (pos and a > 0) or (not pos and a < C)
+    return LinearModel(
+        w=w, b=float(b), alphas=alphas, C=float(C), pair_updates=update, gap=float(gap)
+    )
 
 
 def _bias(alphas: np.ndarray, y: np.ndarray, crit: np.ndarray, C: float) -> float:

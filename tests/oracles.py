@@ -188,6 +188,85 @@ def qp_reference(X, y, C: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Dual QP by maximal-violating pairs, with boolean masks and a gradient array
+# ---------------------------------------------------------------------------
+
+
+def smo_train(X, y, C: float, tol: float = 1e-3, max_pair_updates: int = 1_000_000) -> dict:
+    """The pair-update solver written the literal way: selection through
+    ``np.where`` masks, a full gradient array and ``crit`` rebuilt from it
+    every update.
+
+    Its arithmetic is the arithmetic the in-place solver must reproduce bit
+    for bit.  Failure to converge raises ``RuntimeError``.
+    """
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(y)
+    if labels.size == 0:
+        raise ValueError("training set is empty")
+    if not C > 0:
+        raise ValueError(f"C must be > 0, got {C}")
+    y = labels.astype(float)
+    if np.unique(labels).size < 2:
+        raise ValueError("training set must contain both classes")
+
+    n = labels.size
+    alphas = np.zeros(n)
+    grad = -np.ones(n)  # gradient of the minimized form 1/2 a'Qa - 1'a
+    sq_norms = np.einsum("ij,ij->i", X, X)
+    crit = -y * grad  # candidate bias per instance; updated alongside grad
+
+    up_ok = y > 0  # alpha at 0: +1 may increase, -1 may decrease
+    low_ok = ~up_ok
+    gap = np.inf
+
+    for update in range(max_pair_updates):
+        up = np.where(up_ok, crit, -np.inf)
+        low = np.where(low_ok, crit, np.inf)
+        i = int(np.argmax(up))
+        j = int(np.argmin(low))
+        gap = up[i] - low[j]
+        if not -np.inf < gap < np.inf:
+            raise RuntimeError(f"violation gap is {gap} at pair update {update}")
+        if gap <= tol:
+            break
+        eta = sq_norms[i] + sq_norms[j] - 2.0 * float(X[i] @ X[j])
+        t = gap / eta if eta > 1e-12 else np.inf
+        room_i = C - alphas[i] if y[i] > 0 else alphas[i]
+        room_j = alphas[j] if y[j] > 0 else C - alphas[j]
+        t = min(t, room_i, room_j)
+        alphas[i] += y[i] * t
+        alphas[j] -= y[j] * t
+        delta = t * (X @ X[i] - X @ X[j])
+        grad += y * delta
+        crit = -y * grad
+        _refresh_bounds(up_ok, low_ok, alphas, y, C, i)
+        _refresh_bounds(up_ok, low_ok, alphas, y, C, j)
+    else:
+        raise RuntimeError(f"no convergence within {max_pair_updates} pair updates")
+
+    np.clip(alphas, 0.0, C, out=alphas)
+    w = X.T @ (alphas * y)
+    free = (alphas > 0) & (alphas < C)
+    if free.any():
+        b = float(crit[free].mean())
+    else:
+        up_ok = np.where(y > 0, alphas < C, alphas > 0)
+        low_ok = np.where(y > 0, alphas > 0, alphas < C)
+        hi = crit[up_ok].max() if up_ok.any() else -np.inf
+        lo = crit[low_ok].min() if low_ok.any() else np.inf
+        b = float((hi + lo) / 2.0)
+    return {"w": w, "b": b, "alphas": alphas, "pair_updates": update, "gap": float(gap)}
+
+
+def _refresh_bounds(up_ok, low_ok, alphas, y, C, idx) -> None:
+    a = alphas[idx]
+    pos = y[idx] > 0
+    up_ok[idx] = (pos and a < C) or (not pos and a > 0)
+    low_ok[idx] = (pos and a > 0) or (not pos and a < C)
+
+
+# ---------------------------------------------------------------------------
 # Dendritic cells, stepped literally
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 import pytest
 
-from windowlab.cli import main
+from windowlab.cli import _build_parser, _experiment_config, _resolve, main
 
 FAST = [
     "--datasets", "2",
@@ -128,6 +128,16 @@ class TestLambdaFlag:
         code = main(["run", "--seed", "3", "--out", str(out), "--methods", "DMOV1,DMOV2",
                      "--lambda", "2,50", *FAST])
         assert code == 0
+
+    def test_one_value_keeps_the_high_scale_below_it(self, tmp_path):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("lambda=5,50\n")
+        scales = {}
+        for name, extra in (("file", ["--config", str(cfg)]), ("defaults", [])):
+            args = _build_parser().parse_args(["run", *extra, "--lambda", "2"])
+            config = _experiment_config(_resolve(args))
+            scales[name] = (config.lambda_low, config.lambda_high)
+        assert scales == {"file": (2.0, 50.0), "defaults": (2.0, 100.0)}
 
     def test_bad_lambda_reported(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path), "--lambda", "1,2,3", *FAST])

@@ -2,9 +2,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import qp_reference
-from windowlab.datagen import GeneratorConfig, InstanceSeries, generate_dataset
+from oracles import qp_reference, smo_train
+from windowlab.datagen import (
+    GeneratorConfig,
+    InstanceSeries,
+    generate_benchmark_suite,
+    generate_dataset,
+)
+from windowlab.harness import ExperimentConfig
 from windowlab.svm import (
     ConvergenceError,
     DegenerateModelError,
@@ -178,6 +185,69 @@ class TestBruteForceEquivalence:
         ref = qp_reference(feats, labels, C=c)
         model = train(ds, C=c, tol=1e-12)
         assert dual_objective(model, ds) == pytest.approx(ref["objective"], abs=1e-6)
+
+
+@st.composite
+def small_splits(draw):
+    """Both classes, rows drawn with repeats from a pool, so some pairs have
+    eta = 0 (a step of t = inf clipped to the box); integer pools tie crit."""
+    n = draw(st.sampled_from(range(2, 301)))  # uniform; st.integers favours the ends
+    n_features = draw(st.integers(1, 3))
+    distinct = max(1, n // draw(st.sampled_from([1, 2, 10])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = rng.integers(-3, 4, (distinct, n_features)).astype(float)
+    else:
+        pool = rng.normal(0.0, draw(st.sampled_from([0.01, 1.0, 5.0])), (distinct, n_features))
+    labels = rng.choice([-1, 1], n)
+    if np.unique(labels).size < 2:
+        labels[0] = -labels[0]
+    shift = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    feats = pool[rng.integers(0, distinct, n)] + shift * labels[:, None]
+    return feats, labels
+
+
+class TestInPlaceSolverParity:
+    """``train`` must reproduce the mask-and-gradient solver in ``oracles`` bit
+    for bit, and keep its update count and final gap on the model."""
+
+    @staticmethod
+    def assert_same_model(model, ref, tol):
+        assert model.w.tobytes() == ref["w"].tobytes()
+        assert np.float64(model.b).tobytes() == np.float64(ref["b"]).tobytes()
+        assert model.alphas.tobytes() == ref["alphas"].tobytes()
+        assert model.pair_updates == ref["pair_updates"]
+        assert model.gap == ref["gap"] and model.gap <= tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        split=small_splits(),
+        C=st.floats(0.05, 100.0),
+        tol=st.sampled_from([1e-3, 1e-6]),
+        # Wide, overlapping draws at large C can need over a million updates;
+        # the cap keeps the test fast and compares the ConvergenceError path.
+        cap=st.one_of(st.just(2_000), st.integers(1, 40)),
+    )
+    def test_matches_mask_solver(self, split, C, tol, cap):
+        feats, labels = split
+        try:
+            ref = smo_train(feats, labels, C, tol=tol, max_pair_updates=cap)
+        except RuntimeError:
+            with pytest.raises(ConvergenceError):
+                train(series(feats, labels), C, tol=tol, max_pair_updates=cap)
+            return
+        model = train(series(feats, labels), C, tol=tol, max_pair_updates=cap)
+        self.assert_same_model(model, ref, tol)
+
+    def test_heaviest_long_series_split(self):
+        # The long-series benchmark workload's slowest training split (4,477
+        # pair updates); the suite size sets the class means, so build all 40.
+        cfg = ExperimentConfig(seed=20260808, n_datasets=40, n_train=8000, n_test=8000)
+        ds = generate_benchmark_suite(40, cfg.base_generator_config(), cfg.seed)[2]
+        ref = smo_train(ds.train.features, ds.train.labels, cfg.svm_c)
+        model = train(ds.train, C=cfg.svm_c)
+        self.assert_same_model(model, ref, 1e-3)
+        assert model.pair_updates == 4477
 
 
 class TestDecisionOps:
