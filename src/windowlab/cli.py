@@ -132,7 +132,14 @@ def _cmd_analyze(settings: dict) -> int:
     if not results_path.exists():
         raise FileNotFoundError(f"no results at {results_path}; run `run` first")
     results = harness.ResultsTable.read_csv(results_path)
-    report = harness.analyze(results, cfg.significance)
+    table = (len(results.dataset_indexes()), results.methods())
+    if table != (cfg.n_datasets, cfg.methods):
+        raise ValueError(
+            f"{results_path} has {table[0]} datasets of {','.join(map(str, table[1]))}, but the "
+            f"settings give {cfg.n_datasets} of {','.join(map(str, cfg.methods))}; "
+            "pass analyze the flags given to run"
+        )
+    report = harness.analyze(results)
     harness.write_stats_report(report, out / "stats_report.csv")
     harness.write_summary(report, cfg, out / "summary.txt")
     print(f"wrote {out / 'stats_report.csv'} and {out / 'summary.txt'}")
@@ -150,7 +157,7 @@ def _cmd_sweep_gains(settings: dict) -> int:
 def _cmd_all(settings: dict) -> int:
     cfg = _experiment_config(settings)
     results = harness.run_experiment(cfg)
-    report = harness.analyze(results, cfg.significance)
+    report = harness.analyze(results)
     paths = harness.emit_outputs(results, report, cfg, settings["out"])
     for path in paths.values():
         print(f"wrote {path}")

@@ -121,10 +121,6 @@ class InstanceSeries:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def time_index(self) -> np.ndarray:
-        return np.arange(1, len(self) + 1)
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -216,20 +212,6 @@ def write_series_csv(series: InstanceSeries, path: Path) -> Path:
         for i, (row, lab) in enumerate(zip(series.features, series.labels)):
             writer.writerow([i + 1] + [repr(float(v)) for v in row] + [int(lab)])
     return path
-
-
-def read_series_csv(path: Path) -> InstanceSeries:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 2
-        feats, labs = [], []
-        for expected, row in enumerate(reader, start=1):
-            if int(row[0]) != expected:
-                raise ValueError(f"non-consecutive time_index {row[0]} in {path}")
-            feats.append([float(v) for v in row[1 : 1 + d]])
-            labs.append(int(row[-1]))
-    return InstanceSeries(np.array(feats, dtype=float).reshape(len(labs), d), np.array(labs))
 
 
 def write_dataset_csv(

@@ -46,11 +46,8 @@ class DegenerateSignalError(ValueError):
 class SignalMapping:
     """How raw features were turned into safe/danger signals."""
 
-    feature_min: np.ndarray
-    feature_max: np.ndarray
     correlations: np.ndarray
     danger_feature: int
-    safe_feature: int
     safe_inverted: bool
 
 
@@ -90,18 +87,12 @@ class DCAPopulation:
     def from_lifespans(cls, lifespans) -> "DCAPopulation":
         return cls(tuple(DendriticCell(float(v)) for v in np.asarray(lifespans, dtype=float)))
 
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
 
 @dataclass(frozen=True, eq=False)
 class AntigenScores:
-    """Per-instance vote tallies and the resulting labels."""
+    """Per-instance vote sums and the resulting labels."""
 
     vote_sums: np.ndarray
-    vote_counts: np.ndarray
-    mean_votes: np.ndarray
     labels: np.ndarray
 
 
@@ -134,14 +125,7 @@ def preprocess(series: InstanceSeries) -> SignalSeries:
     invert = correlations[safe_idx] > 0
     if invert:
         safe = 1.0 - safe
-    mapping = SignalMapping(
-        feature_min=lo,
-        feature_max=hi,
-        correlations=correlations,
-        danger_feature=danger_idx,
-        safe_feature=safe_idx,
-        safe_inverted=bool(invert),
-    )
+    mapping = SignalMapping(correlations, danger_idx, bool(invert))
     return SignalSeries(safe=safe, danger=danger, mapping=mapping)
 
 
@@ -149,11 +133,7 @@ def signal_transform(safe, danger):
     """Per-step strength and evidence: csm = safe + danger, k = danger - safe."""
     safe = np.asarray(safe, dtype=float)
     danger = np.asarray(danger, dtype=float)
-    csm = safe + danger
-    k = danger - safe
-    if csm.ndim == 0:
-        return float(csm), float(k)
-    return csm, k
+    return safe + danger, danger - safe
 
 
 def init_lifespans(signals: SignalSeries, m: int, lam: float) -> np.ndarray:
@@ -186,10 +166,8 @@ def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> AntigenS
         vote_diff[starts] += votes
 
     vote_sums = np.cumsum(vote_diff[:-1])
-    vote_counts = np.full(n, float(population.size))
-    mean_votes = vote_sums / vote_counts
-    labels = np.where(mean_votes >= 0, 1, -1)
-    return AntigenScores(vote_sums, vote_counts, mean_votes, labels)
+    # Every cell votes on every instance, so the mean vote has the sign of the sum.
+    return AntigenScores(vote_sums, np.where(vote_sums >= 0, 1, -1))
 
 
 def run_dca(signals: SignalSeries, population: DCAPopulation) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -33,7 +34,13 @@ import numpy as np
 
 from . import dca, freq, windows
 from . import svm as svm_mod
-from .datagen import Dataset, GeneratorConfig, centroid_distance, generate_benchmark_suite
+from .datagen import (
+    Dataset,
+    GeneratorConfig,
+    InstanceSeries,
+    centroid_distance,
+    generate_benchmark_suite,
+)
 from .stats import (
     DegenerateSampleError,
     PairedSample,
@@ -67,7 +74,6 @@ ALL_METHODS = tuple(Method)
 #: Best parameterization of each distinct approach, best hypothesized first.
 ORDERING_CANDIDATES = (Method.SMOV, Method.DMOV2, Method.DCA1, Method.LNC)
 
-_SVM_METHODS = {Method.LNC, Method.SMOV, Method.DMOV1, Method.DMOV2}
 _LOW_SCALE = {Method.DMOV1, Method.DCA1}
 _HIGH_SCALE = {Method.DMOV2, Method.DCA2}
 
@@ -84,28 +90,24 @@ class ExperimentConfig:
     threshold_grid: int = 100
     lambda_low: float = 1.0
     lambda_high: float = 100.0
-    n_train: int = 1000
-    n_test: int = 1000
-    n_features: int = 2
-    class1_mean: float = 0.2
-    stddev: float = 0.1
-    significance: float = 0.05
+    n_train: int = GeneratorConfig.n_train
+    n_test: int = GeneratorConfig.n_test
 
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("method list is empty")
+        for k, method in enumerate(self.methods):
+            if method in self.methods[:k]:
+                raise ValueError(f"method {method} is listed more than once")
         if self.n_datasets < 2:
             raise ValueError(f"n_datasets must be >= 2, got {self.n_datasets}")
 
     def base_generator_config(self) -> GeneratorConfig:
         return GeneratorConfig(
-            class2_mean=self.class1_mean,
+            class2_mean=GeneratorConfig.class1_mean,
             seed=0,
             n_train=self.n_train,
             n_test=self.n_test,
-            n_features=self.n_features,
-            class1_mean=self.class1_mean,
-            stddev=self.stddev,
         )
 
     def scale_for(self, method: Method) -> float:
@@ -125,66 +127,55 @@ class MethodResult:
     model: svm_mod.LinearModel | None = None
 
 
-class _DatasetContext:
-    """Lazily shares the trained model and score series across methods."""
+def _run_dataset(
+    index: int, dataset: Dataset, config: ExperimentConfig
+) -> dict[Method, MethodResult]:
+    """Every configured method on one dataset.  The model, each split's scores
+    and the DCA signals are computed at most once, and only if a method needs
+    them; the cached objects are the ones passed on."""
 
-    def __init__(self, dataset: Dataset, config: ExperimentConfig) -> None:
-        self.dataset = dataset
-        self.config = config
-        self._model = None
-        self._train_scores = None
-        self._test_scores = None
-        self._signals = None
+    @cache
+    def model() -> svm_mod.LinearModel:
+        return svm_mod.train(dataset.train, C=config.svm_c)
 
-    def model(self) -> svm_mod.LinearModel:
-        if self._model is None:
-            self._model = svm_mod.train(self.dataset.train, C=self.config.svm_c)
-        return self._model
+    @cache
+    def scores(split: InstanceSeries) -> svm_mod.ScoreSeries:
+        return svm_mod.score_series(model(), split)
 
-    def train_scores(self) -> svm_mod.ScoreSeries:
-        if self._train_scores is None:
-            self._train_scores = svm_mod.score_series(self.model(), self.dataset.train)
-        return self._train_scores
+    @cache
+    def signals() -> dca.SignalSeries:
+        return dca.preprocess(dataset.test)
 
-    def test_scores(self) -> svm_mod.ScoreSeries:
-        if self._test_scores is None:
-            self._test_scores = svm_mod.score_series(self.model(), self.dataset.test)
-        return self._test_scores
+    def error_rate(labels: np.ndarray) -> float:
+        return float(np.mean(labels != dataset.test.labels))
 
-    def signals(self) -> dca.SignalSeries:
-        if self._signals is None:
-            self._signals = dca.preprocess(self.dataset.test)
-        return self._signals
+    def run(method: Method) -> MethodResult:
+        if method is Method.LNC:
+            labels = np.where(scores(dataset.test).scores >= 0, 1, -1)
+            return MethodResult(error_rate(labels), None, model())
+        if method is Method.SMOV:
+            sizes = windows.default_size_grid(config.window_grid)
+            tuned = windows.tune_static(scores(dataset.train), sizes)
+        elif method in (Method.DMOV1, Method.DMOV2):
+            grid = windows.make_threshold_grid(
+                scores(dataset.train), config.threshold_grid, config.scale_for(method)
+            )
+            tuned = windows.tune_dynamic(scores(dataset.train), grid)
+        else:  # DCA1, DCA2; scale_for rejects any other value
+            lam = config.scale_for(method)
+            lifespans = dca.init_lifespans(signals(), config.threshold_grid, lam)
+            labels = dca.run_dca(signals(), dca.DCAPopulation.from_lifespans(lifespans))
+            return MethodResult(error_rate(labels))
+        labels = windows.apply(tuned, scores(dataset.test))
+        return MethodResult(error_rate(labels), tuned.parameter, model())
 
-
-def _error_rate(labels: np.ndarray, truths: np.ndarray) -> float:
-    return float(np.mean(np.asarray(labels) != np.asarray(truths)))
-
-
-def _run_single(method: Method, ctx: _DatasetContext) -> MethodResult:
-    cfg = ctx.config
-    truths = ctx.dataset.test.labels
-    if method is Method.LNC:
-        labels = np.where(ctx.test_scores().scores >= 0, 1, -1)
-        return MethodResult(_error_rate(labels, truths), None, ctx.model())
-    if method is Method.SMOV:
-        tuned = windows.tune_static(ctx.train_scores(), windows.default_size_grid(cfg.window_grid))
-        labels = windows.apply(tuned, ctx.test_scores())
-        return MethodResult(_error_rate(labels, truths), tuned.parameter, ctx.model())
-    if method in (Method.DMOV1, Method.DMOV2):
-        grid = windows.make_threshold_grid(
-            ctx.train_scores(), cfg.threshold_grid, cfg.scale_for(method)
-        )
-        tuned = windows.tune_dynamic(ctx.train_scores(), grid)
-        labels = windows.apply(tuned, ctx.test_scores())
-        return MethodResult(_error_rate(labels, truths), tuned.parameter, ctx.model())
-    if method in (Method.DCA1, Method.DCA2):
-        signals = ctx.signals()
-        lifespans = dca.init_lifespans(signals, cfg.threshold_grid, cfg.scale_for(method))
-        population = dca.DCAPopulation.from_lifespans(lifespans)
-        labels = dca.run_dca(signals, population)
-        return MethodResult(_error_rate(labels, truths), None, None)
-    raise ValueError(f"unknown method {method}")
+    per_method = {}
+    for method in config.methods:
+        try:
+            per_method[method] = run(method)
+        except Exception as exc:
+            raise RuntimeError(f"method {method} failed on dataset {index}: {exc}") from exc
+    return per_method
 
 
 @dataclass(frozen=True)
@@ -269,20 +260,11 @@ def run_experiment_detailed(
     details: list[dict[Method, MethodResult]] = []
     for index, dataset in enumerate(suite):
         distance = centroid_distance(dataset)
-        per_method: dict[Method, MethodResult] = {}
-        ctx = _DatasetContext(dataset, config)
-        for method in config.methods:
-            try:
-                result = _run_single(method, ctx)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"method {method} failed on dataset {index}: {exc}"
-                ) from exc
-            per_method[method] = result
-            rows.append(
-                ResultRow(index, distance, method, result.error_rate, result.tuned_parameter)
-            )
-        details.append(per_method)
+        details.append(_run_dataset(index, dataset, config))
+        rows.extend(
+            ResultRow(index, distance, method, result.error_rate, result.tuned_parameter)
+            for method, result in details[-1].items()
+        )
     return ResultsTable(tuple(rows)), details
 
 
@@ -332,11 +314,11 @@ def _paired_report(a_err, b_err, alternative: str) -> tuple[TestReport | None, s
     if not np.any(diffs != 0):
         return None, "degenerate: all paired differences are zero"
     try:
-        selection = choose_test(a_err, b_err)
+        parametric = choose_test(a_err, b_err)
     except ValueError:
-        selection = None
+        parametric = False
     sample = PairedSample(np.asarray(a_err), np.asarray(b_err))
-    if selection is not None and selection.parametric:
+    if parametric:
         try:
             return paired_t_test(sample, alternative), ""
         except DegenerateSampleError as exc:

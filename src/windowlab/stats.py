@@ -70,16 +70,6 @@ class TestReport:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class TestSelection:
-    """Which comparison branch the normality screening selected."""
-
-    parametric: bool
-    shapiro_a: TestReport | None
-    shapiro_b: TestReport | None
-    shapiro_diff: TestReport | None
-
-
 # ---------------------------------------------------------------------------
 # Shapiro-Wilk
 # ---------------------------------------------------------------------------
@@ -353,26 +343,19 @@ def paired_t_test(sample: PairedSample, alternative: str = "two-sided") -> TestR
 # ---------------------------------------------------------------------------
 
 
-def choose_test(a, b, significance: float = 0.05) -> TestSelection:
+def choose_test(a, b, significance: float = 0.05) -> bool:
     """Screen both samples and their differences for normality.
 
-    The parametric (paired t) branch is selected only when all three
-    Shapiro-Wilk tests pass at ``significance``.  A zero-variance input
-    cannot be normal, so it fails the screen (reported as ``None``) instead
-    of raising.
+    True selects the parametric (paired t) branch: all three Shapiro-Wilk
+    tests pass at ``significance``.  A zero-variance input cannot be normal,
+    so it fails the screen instead of raising.
     """
     sample = PairedSample(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
-    def screen(values) -> TestReport | None:
+    def passes(values) -> bool:
         try:
-            return shapiro_wilk(values)
+            return shapiro_wilk(values).p_value >= significance
         except DegenerateSampleError:
-            return None
+            return False
 
-    rep_a = screen(sample.a)
-    rep_b = screen(sample.b)
-    rep_d = screen(sample.differences)
-    parametric = all(
-        rep is not None and rep.p_value >= significance for rep in (rep_a, rep_b, rep_d)
-    )
-    return TestSelection(parametric, rep_a, rep_b, rep_d)
+    return all(passes(v) for v in (sample.a, sample.b, sample.differences))

@@ -28,8 +28,6 @@ from .datagen import InstanceSeries, read_only, require_finite
 
 #: Default stopping tolerance on the maximal KKT violation.
 KKT_TOL = 1e-3
-#: Tolerance on the dual equality constraint and on the representer identity.
-EQ_TOL = 1e-8
 #: Default cap on pair updates before training aborts.
 MAX_PAIR_UPDATES = 1_000_000
 
@@ -53,11 +51,6 @@ class LinearModel:
     #: Pair updates the solver took, and its final maximal KKT violation.
     pair_updates: int = 0
     gap: float = np.nan
-
-    @property
-    def support_indexes(self) -> np.ndarray:
-        """Indexes of training instances with a strictly positive dual coefficient."""
-        return np.flatnonzero(self.alphas > 0)
 
 
 @dataclass(frozen=True, eq=False)

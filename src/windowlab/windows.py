@@ -53,10 +53,6 @@ class WindowSizeGrid:
             raise ValueError(f"window sizes must be >= 1, got {cleaned[0]}")
         object.__setattr__(self, "sizes", cleaned)
 
-    @property
-    def m(self) -> int:
-        return len(self.sizes)
-
 
 def default_size_grid(m: int = 100) -> WindowSizeGrid:
     """The canonical width grid {1, 2, ..., m}."""
@@ -79,10 +75,6 @@ class ThresholdGrid:
         if not np.all(np.diff(thr) > 0):
             raise ValueError("thresholds must be strictly increasing")
         object.__setattr__(self, "thresholds", thr)
-
-    @property
-    def m(self) -> int:
-        return self.thresholds.size
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,7 @@ def tune_static(series: ScoreSeries, grid: WindowSizeGrid) -> TunedFilter:
     sums stay ``reduceat`` sums, which ``static_label`` signs."""
     cum_pos = _positive_counts(series)
     n = len(series)
-    wrong = np.empty(grid.m, dtype=np.int64)
+    wrong = np.empty(len(grid.sizes), dtype=np.int64)
     for k, alpha in enumerate(grid.sizes):
         starts = np.arange(0, n, alpha)
         stops = np.minimum(starts + alpha, n)
@@ -199,7 +191,7 @@ def tune_dynamic(series: ScoreSeries, grid: ThresholdGrid) -> TunedFilter:
     sums; ``4 * wrong / n`` is the mean squared error of ``dynamic_label``."""
     cum_pos = _positive_counts(series)
     cum = np.concatenate([[0.0], np.cumsum(series.scores)])
-    wrong = np.empty(grid.m, dtype=np.int64)
+    wrong = np.empty(len(grid.thresholds), dtype=np.int64)
     walk = budget_walk(np.cumsum(np.abs(series.scores)), grid.thresholds, "right")
     for lane, edges in enumerate(walk):
         starts, stops = edges[:-1], edges[1:]

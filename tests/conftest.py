@@ -2,4 +2,3 @@ from windowlab import stats
 
 # Domain types whose names start with "Test" are not pytest test classes.
 stats.TestReport.__test__ = False
-stats.TestSelection.__test__ = False

@@ -35,6 +35,15 @@ class TestRunAndAnalyze:
         assert (out / "stats_report.csv").exists()
         assert (out / "summary.txt").exists()
 
+    def test_analyze_rejects_a_table_that_differs_from_the_settings(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert main(["run", "--seed", "9", "--out", str(out), "--methods", "LNC,SMOV", *FAST]) == 0
+        assert main(["analyze", "--seed", "9", "--out", str(out), *FAST]) == 1
+        err = capsys.readouterr().err
+        assert "2 datasets of LNC,SMOV" in err
+        assert "2 of LNC,SMOV,DMOV1,DMOV2,DCA1,DCA2" in err
+        assert not (out / "summary.txt").exists()
+
     def test_analyze_without_results_fails(self, tmp_path, capsys):
         code = main(["analyze", "--out", str(tmp_path / "nowhere")])
         assert code == 1

@@ -11,7 +11,6 @@ from windowlab.datagen import (
     generate_benchmark_suite,
     generate_dataset,
     quarter_labels,
-    read_series_csv,
     suite_member_seed,
     write_dataset_csv,
 )
@@ -60,11 +59,6 @@ class TestQuarterStructure:
     def test_quarter_labels_rejects_bad_length(self):
         with pytest.raises(ValueError):
             quarter_labels(10)
-
-    def test_time_index_consecutive_from_one(self):
-        ds = generate_dataset(small_config())
-        assert ds.train.time_index[0] == 1
-        assert list(np.diff(ds.train.time_index)) == [1] * (len(ds.train) - 1)
 
 
 class TestSampling:
@@ -157,13 +151,6 @@ class TestCentroidDistance:
 
 
 class TestInstanceSeries:
-    def test_from_instances_rejects_gappy_time_index(self, tmp_path):
-        # Rows carry no time index of their own; CSV input is where a gap can appear.
-        path = tmp_path / "gappy_train.csv"
-        path.write_text("time_index,f1,f2,label\n1,0.0,0.0,-1\n3,0.0,0.0,-1\n")
-        with pytest.raises(ValueError, match="consecutive"):
-            read_series_csv(path)
-
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
             InstanceSeries(np.zeros((2, 2)), np.array([0, 1]))
@@ -203,12 +190,7 @@ class TestCsv:
         assert test_path.name == "demo_3_test.csv"
         header = train_path.read_text().splitlines()[0]
         assert header == "time_index,f1,f2,label"
-        back = read_series_csv(train_path)
-        assert np.array_equal(back.features, ds.train.features)
-        assert np.array_equal(back.labels, ds.train.labels)
-
-    def test_non_finite_cell_named_on_read(self, tmp_path):
-        path = tmp_path / "bad_train.csv"
-        path.write_text("time_index,f1,f2,label\n1,0.1,0.2,-1\n2,nan,0.3,1\n")
-        with pytest.raises(ValueError, match="feature f1 is nan at time index 2"):
-            read_series_csv(path)
+        back = np.loadtxt(train_path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], np.arange(1, len(ds.train) + 1))
+        assert np.array_equal(back[:, 1:3], ds.train.features)
+        assert np.array_equal(back[:, 3], ds.train.labels)

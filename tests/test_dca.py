@@ -35,12 +35,7 @@ def block(features, labels):
 
 def signals_from(safe, danger):
     mapping = SignalMapping(
-        feature_min=np.zeros(2),
-        feature_max=np.ones(2),
-        correlations=np.array([1.0, 0.0]),
-        danger_feature=0,
-        safe_feature=1,
-        safe_inverted=True,
+        correlations=np.array([1.0, 0.0]), danger_feature=0, safe_inverted=True
     )
     return SignalSeries(np.asarray(safe, dtype=float), np.asarray(danger, dtype=float), mapping)
 
@@ -106,14 +101,19 @@ class TestPreprocess:
 
 
 class TestSignalTransform:
+    @staticmethod
+    def transform(safe, danger):
+        csm, k = signal_transform(np.array([safe]), np.array([danger]))
+        return csm.tolist(), k.tolist()
+
     def test_pure_safe(self):
-        assert signal_transform(1.0, 0.0) == (1.0, -1.0)
+        assert self.transform(1.0, 0.0) == ([1.0], [-1.0])
 
     def test_pure_danger(self):
-        assert signal_transform(0.0, 1.0) == (1.0, 1.0)
+        assert self.transform(0.0, 1.0) == ([1.0], [1.0])
 
     def test_silence(self):
-        assert signal_transform(0.0, 0.0) == (0.0, 0.0)
+        assert self.transform(0.0, 0.0) == ([0.0], [0.0])
 
     def test_vectorized(self):
         csm, k = signal_transform([0.5, 0.0], [0.5, 1.0])
@@ -177,10 +177,9 @@ class TestRunDca:
         pop = DCAPopulation.from_lifespans([1.5, 3.0])
         scores = run_dca_scores(sig, pop)
         assert np.allclose(
-            scores.mean_votes, [0.5, 0.5, -0.25, 0.5, 1.25, 1.25, 0.0, 0.0]
+            scores.vote_sums / 2, [0.5, 0.5, -0.25, 0.5, 1.25, 1.25, 0.0, 0.0]
         )
         assert list(scores.labels) == [1, 1, -1, 1, 1, 1, 1, 1]
-        assert np.all(scores.vote_counts == 2)
         # Same trace from the stepped oracle.
         assert np.array_equal(
             oracles.dca_labels(safe, danger, [1.5, 3.0]), scores.labels
@@ -200,9 +199,11 @@ class TestRunDca:
     def test_every_cell_votes_on_every_instance(self):
         rng = np.random.default_rng(7)
         sig = signals_from(rng.uniform(0, 1, 50), rng.uniform(0, 1, 50))
-        pop = DCAPopulation.from_lifespans(init_lifespans(sig, 30, 1.0))
-        scores = run_dca_scores(sig, pop)
-        assert np.all(scores.vote_counts == pop.size)
+        lifespans = init_lifespans(sig, 30, 1.0)
+        scores = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
+        votes = oracles.dca_votes(sig.safe, sig.danger, lifespans)
+        assert [len(v) for v in votes] == [30] * 50
+        assert np.allclose(scores.vote_sums, [sum(v) for v in votes])
 
     def test_presentation_windows_partition_the_series(self):
         rng = np.random.default_rng(8)

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from windowlab import dca, svm
 from windowlab.harness import (
     ALL_METHODS,
     AnalysisReport,
@@ -85,6 +86,35 @@ class TestEvaluateDataset:
         for per_method in two_datasets:
             models = {id(per_method[m].model) for m in (Method.LNC, Method.SMOV, Method.DMOV1)}
             assert len(models) == 1
+
+    @pytest.mark.parametrize(
+        "methods, trains, scorings, preprocesses",
+        [
+            ((Method.DCA1, Method.DCA2), 0, 0, 1),
+            ((Method.LNC,), 1, 1, 0),
+            (ALL_METHODS, 1, 2, 1),
+        ],
+    )
+    def test_computes_each_shared_input_once_and_only_when_needed(
+        self, monkeypatch, methods, trains, scorings, preprocesses
+    ):
+        calls = {"train": 0, "score_series": 0, "preprocess": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(svm, "train")
+        counted(svm, "score_series")
+        counted(dca, "preprocess")
+        two_dataset_run(methods)
+        per_dataset = {name: count / 2 for name, count in calls.items()}
+        assert per_dataset == {"train": trains, "score_series": scorings, "preprocess": preprocesses}
 
     def test_matches_standalone_run_method(self, two_datasets):
         # Sharing one model and score series across methods changes no result.
@@ -259,6 +289,10 @@ class TestConfigValidation:
     def test_rejects_empty_methods(self):
         with pytest.raises(ValueError, match="method"):
             ExperimentConfig(seed=0, methods=())
+
+    def test_rejects_repeated_method(self):
+        with pytest.raises(ValueError, match="method SMOV is listed more than once"):
+            ExperimentConfig(seed=0, methods=(Method.LNC, Method.SMOV, Method.SMOV))
 
     def test_rejects_single_dataset(self):
         with pytest.raises(ValueError, match="n_datasets"):

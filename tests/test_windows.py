@@ -460,7 +460,6 @@ def test_tune_dynamic_memory_is_one_lane_at_a_time(lam):
 def test_size_grid_sorts_and_dedupes():
     grid = WindowSizeGrid((5, 1, 5, 3))
     assert grid.sizes == (1, 3, 5)
-    assert grid.m == 3
     with pytest.raises(ValueError):
         WindowSizeGrid((0, 2))
     with pytest.raises(ValueError):
