@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .datagen import write_dataset_csv, generate_benchmark_suite
+from .datagen import centroid_distance, generate_benchmark_suite, write_dataset_csv
 from .freq import write_gain_sweeps
 from .harness import ALL_METHODS, ExperimentConfig, Method
 
@@ -54,7 +54,13 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _CASTS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        values[key] = _CASTS[key](value.strip())
+        cast, value = _CASTS[key], value.strip()
+        try:
+            values[key] = cast(value)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} expects {cast.__name__}, got {value!r}"
+            ) from None
     return values
 
 
@@ -139,6 +145,17 @@ def _cmd_analyze(settings: dict) -> int:
             f"settings give {cfg.n_datasets} of {','.join(map(str, cfg.methods))}; "
             "pass analyze the flags given to run"
         )
+    # The table stores each dataset's centroid distance by repr, so the suite
+    # of these settings reproduces it exactly or is not the suite run used.
+    suite = generate_benchmark_suite(cfg.n_datasets, cfg.base_generator_config(), cfg.seed)
+    expected = dict(enumerate(map(centroid_distance, suite)))
+    for index, stored in zip(results.dataset_indexes(), results.distances().tolist()):
+        if stored != expected.get(index):
+            raise ValueError(
+                f"{results_path}: dataset {index} has centroid distance {stored!r}, but the "
+                f"suite of these settings gives {expected.get(index)!r}; pass analyze the "
+                "--seed, --n-train and --n-test given to run"
+            )
     report = harness.analyze(results)
     harness.write_stats_report(report, out / "stats_report.csv")
     harness.write_summary(report, cfg, out / "summary.txt")

@@ -19,9 +19,12 @@ anomalous when the mean of its received votes is >= 0.
 
 Their accumulate-and-reset behaviour gives each cell the same disjoint,
 contiguous, covering window structure as the dynamic moving-window filter, with
-csm as the score magnitude: each cell is one lane of ``windows.budget_walk``, a
-chase along per-start successors, closing on reaching the lifespan where a
-dynamic window stays within its budget.
+csm as the score magnitude: each cell is one lane of ``windows.budget_walk``,
+closing on reaching the lifespan where a dynamic window stays within its
+budget.  Short-lived cells, with many windows each, chase a successor table
+built for all starts; long-lived ones, expecting fewer than one window per
+``windows._BISECT_STEP_COST`` instances, bisect the prefix sums window by
+window.  Both give the same windows.
 """
 
 from __future__ import annotations

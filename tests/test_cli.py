@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from windowlab.cli import _build_parser, _experiment_config, _resolve, main
@@ -42,6 +44,17 @@ class TestRunAndAnalyze:
         err = capsys.readouterr().err
         assert "2 datasets of LNC,SMOV" in err
         assert "2 of LNC,SMOV,DMOV1,DMOV2,DCA1,DCA2" in err
+        assert not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", "8"], ["--n-test", "84"]])
+    def test_analyze_rejects_a_table_from_another_suite(self, tmp_path, capsys, flag):
+        out = tmp_path / "exp"
+        assert main(["run", "--seed", "7", "--out", str(out), *FAST]) == 0
+        assert main(["analyze", "--seed", "7", "--out", str(out), *FAST, *flag]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"dataset 0 has centroid distance [\d.e-]+, but the suite of these "
+                         r"settings gives [\d.e-]+;", err)
+        assert "--seed, --n-train and --n-test" in err
         assert not (out / "summary.txt").exists()
 
     def test_analyze_without_results_fails(self, tmp_path, capsys):
@@ -129,6 +142,12 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "key=value" in capsys.readouterr().err
+
+    def test_value_that_does_not_cast_names_its_setting(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("# sizes\nseed=3\ndatasets=1e3\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"{cfg}:3: datasets expects int, got '1e3'" in capsys.readouterr().err
 
 
 class TestLambdaFlag:

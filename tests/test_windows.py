@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from windowlab import windows
 from windowlab.svm import ScoreSeries
 from windowlab.windows import (
     DegenerateGridError,
@@ -46,29 +47,59 @@ pow2_factors = st.sampled_from([0.25, 0.5, 2.0, 4.0, 16.0])
 
 @st.composite
 def walk_cases(draw):
-    """Nonnegative increments (zeros included) and strictly increasing budgets
-    that always reach below the smallest increment and above the total."""
-    increments = draw(
+    """Nonnegative increments (zeros included, not all zero) and strictly
+    increasing budgets that always reach below the smallest increment and above
+    the total, and straddle the crossover between the walk's two chases, so
+    every case has table lanes and bisect lanes.  A drawn pattern of up to 40
+    increments repeats up to 8 times, so a bisect lane can cover up to 32
+    windows."""
+    pattern = draw(
         st.lists(
             st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0)),
             min_size=1,
             max_size=40,
         )
     )
-    total = sum(increments)
+    increments = pattern * draw(st.integers(min_value=1, max_value=8))
+    n = len(increments)
+    total = float(np.cumsum(increments)[-1])
+    assume(total > 0)
+    crossover = total * windows._BISECT_STEP_COST / n
     drawn = draw(
         st.lists(st.floats(min_value=1e-6, max_value=2 * total + 1), max_size=8)
     )
-    budgets = sorted(set(drawn) | {1e-17, 5e-4, total + 1.0})
-    return np.array(increments), np.array(budgets)
+    near = draw(st.lists(st.floats(min_value=0.25, max_value=4.0), max_size=4))
+    budgets = set(drawn) | {crossover * f for f in near}
+    budgets |= {1e-17, 5e-4, 2 * crossover, total + 1.0}
+    return np.array(increments), np.array(sorted(budgets))
+
+
+def spans_of(edges):
+    return list(zip(edges[:-1].tolist(), (edges[1:] - 1).tolist()))
 
 
 def lane_spans(cum_mag, budgets, side):
     """Every lane's (start, end) list from one multi-lane walk."""
-    return [
-        list(zip(edges[:-1].tolist(), (edges[1:] - 1).tolist()))
-        for edges in budget_walk(cum_mag, budgets, side)
-    ]
+    return [spans_of(edges) for edges in budget_walk(cum_mag, budgets, side)]
+
+
+def lane_chases(cum_mag, budgets, side):
+    """Every lane's spans and whether it chased by bisect, from one walk."""
+    name = f"bisect_{side}"
+    real = getattr(windows, name)
+    steps = []
+
+    def counted(*args):
+        steps.append(args)
+        return real(*args)
+
+    lanes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(windows, name, counted)
+        for edges in budget_walk(cum_mag, budgets, side):
+            lanes.append((spans_of(edges), bool(steps)))
+            steps.clear()
+    return lanes
 
 
 @st.composite
@@ -293,15 +324,44 @@ class TestDynamicPartition:
                 assert absr[start : end + 1].sum() <= beta + 1e-12
 
 
+# total * K / n for 100 increments of 2.0: lanes above it bisect
+CROSSOVER_BUDGET = 2.0 * windows._BISECT_STEP_COST
+
+
 class TestBudgetWalk:
     @pytest.mark.parametrize("side", ["left", "right"])
     @given(walk_cases())
     @settings(max_examples=150, deadline=None)
     def test_every_lane_matches_one_lane_oracle(self, side, case):
         increments, budgets = case
-        got = lane_spans(np.cumsum(increments), budgets, side)
-        for lane, budget in enumerate(budgets):
-            assert got[lane] == oracles.budget_spans(increments, budget, side)
+        lanes = lane_chases(np.cumsum(increments), budgets, side)
+        for (got, _), budget in zip(lanes, budgets):
+            assert got == oracles.budget_spans(increments, budget, side)
+        assert {bisect for _, bisect in lanes} == {False, True}
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "increments, budgets, bisect",
+        [
+            # all-zero magnitudes: a zero total sends every lane to bisect
+            (np.zeros(50), [1e-17, 1.0], [True, True]),
+            # 1e-17 is below every nonzero increment; 1e9 is above the total
+            (np.linspace(0.0, 2.0, 60), [1e-17, 1e9], [False, True]),
+            # a bisect lane whose budget one increment exceeds: that index is a window
+            (np.where(np.arange(100) == 49, 100.0, 0.0), [1.0, 50.0], [False, True]),
+            # just below, at and just above the crossover budget total * K / n
+            (
+                np.full(100, 2.0),
+                [CROSSOVER_BUDGET * (1 - 1e-12), CROSSOVER_BUDGET, CROSSOVER_BUDGET * (1 + 1e-12)],
+                [False, False, True],
+            ),
+        ],
+    )
+    def test_fixed_lanes_match_oracle_on_their_chase(self, side, increments, budgets, bisect):
+        lanes = lane_chases(np.cumsum(increments), np.array(budgets), side)
+        assert [b for _, b in lanes] == bisect
+        for (got, _), budget in zip(lanes, budgets):
+            assert got == oracles.budget_spans(increments, budget, side)
 
     def test_right_stays_within_budget_left_reaches_it(self):
         cum = np.cumsum([0.5, 0.5, 0.5, 0.5, 0.5])
