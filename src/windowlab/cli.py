@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--lambda",
             dest="lambda",
             metavar="LOW[,HIGH]",
-            help="scale factors for the *1/*2 parameterizations (default 1,100)",
+            help=f"scale factors for the *1/*2 parameterizations (default {_DEFAULTS['lambda']})",
         )
         p.add_argument("--name", help="suite name used in dataset file names")
         p.add_argument("--svm-c", dest="svm_c", type=float, help="SVM regularization bound")

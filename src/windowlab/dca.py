@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ANOMALOUS_LABEL, InstanceSeries
-from .windows import budget_walk
+from .windows import budget_ladder, budget_walk, sign_labels
 
 
 class NormalizationError(ValueError):
@@ -91,14 +91,6 @@ class DCAPopulation:
         return cls(tuple(DendriticCell(float(v)) for v in np.asarray(lifespans, dtype=float)))
 
 
-@dataclass(frozen=True, eq=False)
-class AntigenScores:
-    """Per-instance vote sums and the resulting labels."""
-
-    vote_sums: np.ndarray
-    labels: np.ndarray
-
-
 def preprocess(series: InstanceSeries) -> SignalSeries:
     """Build safe/danger signals from a two-feature labeled block."""
     if len(series) == 0:
@@ -141,19 +133,16 @@ def signal_transform(safe, danger):
 
 def init_lifespans(signals: SignalSeries, m: int, lam: float) -> np.ndarray:
     """Lifespan ladder max(csm) * (l/m) * lam for l = 1..m."""
-    if m < 1:
-        raise ValueError(f"population size must be >= 1, got {m}")
-    if not lam > 0:
-        raise ValueError(f"scale factor must be > 0, got {lam}")
     csm, _ = signal_transform(signals.safe, signals.danger)
     peak = float(np.max(csm)) if len(signals) else 0.0
+    lifespans = budget_ladder(peak, m, lam)
     if peak <= 0.0:
         raise DegenerateSignalError("all signal strengths are zero; lifespans undefined")
-    return peak * (np.arange(1, m + 1, dtype=float) / m) * lam
+    return lifespans
 
 
-def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> AntigenScores:
-    """Process the full series with every cell and tally per-instance votes."""
+def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> np.ndarray:
+    """Process the full series with every cell; per-instance vote sums."""
     n = len(signals)
     if n == 0:
         raise ValueError("signal series is empty")
@@ -168,12 +157,11 @@ def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> AntigenS
         vote_diff[stops] -= votes
         vote_diff[starts] += votes
 
-    vote_sums = np.cumsum(vote_diff[:-1])
-    # Every cell votes on every instance, so the mean vote has the sign of the sum.
-    return AntigenScores(vote_sums, np.where(vote_sums >= 0, 1, -1))
+    return np.cumsum(vote_diff[:-1])
 
 
 def run_dca(signals: SignalSeries, population: DCAPopulation) -> np.ndarray:
-    """Anomaly labels (+1 anomalous, -1 normal) for every instance."""
-    return run_dca_scores(signals, population).labels
+    """Anomaly labels (+1 anomalous, -1 normal) for every instance.  Every cell
+    votes on every instance, so the mean vote has the sign of the vote sum."""
+    return sign_labels(run_dca_scores(signals, population))
 

@@ -24,10 +24,12 @@ never change the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -118,21 +120,26 @@ class ExperimentConfig:
         raise ValueError(f"{method} has no scale factor")
 
 
-@dataclass(frozen=True, eq=False)
-class MethodResult:
-    """Error rate plus the artifacts behind it (for diagnostics and tests)."""
+@dataclass(frozen=True)
+class ResultRow:
+    """One (dataset, method) cell; ``model`` is the trained classifier behind
+    an SVM-scored method (None for the DCA and for a table read back from CSV)."""
 
+    dataset_index: int
+    centroid_distance: float
+    method: Method
     error_rate: float
-    tuned_parameter: float | None = None
-    model: svm_mod.LinearModel | None = None
+    tuned_parameter: float | None
+    model: svm_mod.LinearModel | None = field(default=None, compare=False, repr=False)
 
 
 def _run_dataset(
     index: int, dataset: Dataset, config: ExperimentConfig
-) -> dict[Method, MethodResult]:
+) -> dict[Method, ResultRow]:
     """Every configured method on one dataset.  The model, each split's scores
     and the DCA signals are computed at most once, and only if a method needs
     them; the cached objects are the ones passed on."""
+    distance = centroid_distance(dataset)
 
     @cache
     def model() -> svm_mod.LinearModel:
@@ -146,13 +153,13 @@ def _run_dataset(
     def signals() -> dca.SignalSeries:
         return dca.preprocess(dataset.test)
 
-    def error_rate(labels: np.ndarray) -> float:
-        return float(np.mean(labels != dataset.test.labels))
+    def row(method: Method, labels: np.ndarray, tuned=None, fitted=None) -> ResultRow:
+        error = float(np.mean(labels != dataset.test.labels))
+        return ResultRow(index, distance, method, error, tuned, fitted)
 
-    def run(method: Method) -> MethodResult:
+    def run(method: Method) -> ResultRow:
         if method is Method.LNC:
-            labels = np.where(scores(dataset.test).scores >= 0, 1, -1)
-            return MethodResult(error_rate(labels), None, model())
+            return row(method, windows.sign_labels(scores(dataset.test).scores), None, model())
         if method is Method.SMOV:
             sizes = windows.default_size_grid(config.window_grid)
             tuned = windows.tune_static(scores(dataset.train), sizes)
@@ -164,10 +171,9 @@ def _run_dataset(
         else:  # DCA1, DCA2; scale_for rejects any other value
             lam = config.scale_for(method)
             lifespans = dca.init_lifespans(signals(), config.threshold_grid, lam)
-            labels = dca.run_dca(signals(), dca.DCAPopulation.from_lifespans(lifespans))
-            return MethodResult(error_rate(labels))
+            return row(method, dca.run_dca(signals(), dca.DCAPopulation.from_lifespans(lifespans)))
         labels = windows.apply(tuned, scores(dataset.test))
-        return MethodResult(error_rate(labels), tuned.parameter, model())
+        return row(method, labels, tuned.parameter, model())
 
     per_method = {}
     for method in config.methods:
@@ -178,20 +184,35 @@ def _run_dataset(
     return per_method
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    dataset_index: int
-    centroid_distance: float
-    method: Method
-    error_rate: float
-    tuned_parameter: float | None
+_CSV_HEADER = "dataset_index,centroid_distance,method,error_rate,tuned_parameter"
+
+
+def _parse_row(line: str) -> ResultRow:
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 comma-separated fields, got {len(fields)}")
+    idx, dist, method, err, tuned = fields
+    row = ResultRow(int(idx), float(dist), Method(method), float(err),
+                    float(tuned) if tuned else None)
+    if not math.isfinite(row.centroid_distance):
+        raise ValueError(f"centroid distance {dist} is not finite")
+    if not 0.0 <= row.error_rate <= 1.0:
+        raise ValueError(f"error rate {err} is outside [0, 1]")
+    return row
 
 
 @dataclass(frozen=True)
 class ResultsTable:
-    """Per-dataset, per-method error rates, ordered by (dataset, method)."""
+    """Per-dataset, per-method error rates, ordered by (dataset, method).
+    Every dataset holds exactly one row per method."""
 
     rows: tuple[ResultRow, ...]
+
+    def __post_init__(self) -> None:
+        cells = Counter((r.dataset_index, r.method) for r in self.rows)
+        for method, index in product(self.methods(), self.dataset_indexes()):
+            if (count := cells[index, method]) != 1:
+                raise ValueError(f"results need one {method} row for dataset {index}, got {count}")
 
     def methods(self) -> tuple[Method, ...]:
         seen: list[Method] = []
@@ -204,13 +225,9 @@ class ResultsTable:
         return tuple(sorted({row.dataset_index for row in self.rows}))
 
     def errors(self, method: Method) -> np.ndarray:
-        """Error rates in dataset order; every dataset needs exactly one row."""
-        rows = sorted((r.dataset_index, r.error_rate) for r in self.rows if r.method == method)
-        found = [index for index, _ in rows]
-        for index in self.dataset_indexes():
-            if (count := found.count(index)) != 1:
-                raise ValueError(f"results need one {method} row for dataset {index}, got {count}")
-        return np.array([error for _, error in rows])
+        """Error rates in dataset order."""
+        cells = sorted((r.dataset_index, r.error_rate) for r in self.rows if r.method == method)
+        return np.array([error for _, error in cells])
 
     def distances(self) -> np.ndarray:
         by_index = {r.dataset_index: r.centroid_distance for r in self.rows}
@@ -219,7 +236,7 @@ class ResultsTable:
     def write_csv(self, path) -> Path:
         path = Path(path)
         with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write("dataset_index,centroid_distance,method,error_rate,tuned_parameter\n")
+            fh.write(_CSV_HEADER + "\n")
             for r in self.rows:
                 tuned = "" if r.tuned_parameter is None else repr(float(r.tuned_parameter))
                 fh.write(
@@ -230,42 +247,30 @@ class ResultsTable:
 
     @classmethod
     def read_csv(cls, path) -> "ResultsTable":
+        """Read a written table back, naming ``path:line`` of the first bad row."""
         rows = []
         with Path(path).open(newline="", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if header != "dataset_index,centroid_distance,method,error_rate,tuned_parameter":
+            if header != _CSV_HEADER:
                 raise ValueError(f"unexpected header in {path}: {header!r}")
-            for line in fh:
-                idx, dist, method, err, tuned = line.rstrip("\n").split(",")
-                rows.append(
-                    ResultRow(
-                        dataset_index=int(idx),
-                        centroid_distance=float(dist),
-                        method=Method(method),
-                        error_rate=float(err),
-                        tuned_parameter=float(tuned) if tuned else None,
-                    )
-                )
+            for lineno, line in enumerate(fh, 2):
+                try:
+                    rows.append(_parse_row(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
         return cls(tuple(rows))
 
 
 def run_experiment_detailed(
     config: ExperimentConfig,
-) -> tuple[ResultsTable, list[dict[Method, MethodResult]]]:
-    """Run the whole suite, returning the table and per-dataset artifacts."""
+) -> tuple[ResultsTable, list[dict[Method, ResultRow]]]:
+    """Run the whole suite, returning the table and its rows per dataset."""
     suite = generate_benchmark_suite(
         config.n_datasets, config.base_generator_config(), config.seed
     )
-    rows: list[ResultRow] = []
-    details: list[dict[Method, MethodResult]] = []
-    for index, dataset in enumerate(suite):
-        distance = centroid_distance(dataset)
-        details.append(_run_dataset(index, dataset, config))
-        rows.extend(
-            ResultRow(index, distance, method, result.error_rate, result.tuned_parameter)
-            for method, result in details[-1].items()
-        )
-    return ResultsTable(tuple(rows)), details
+    details = [_run_dataset(index, dataset, config) for index, dataset in enumerate(suite)]
+    rows = tuple(row for per_method in details for row in per_method.values())
+    return ResultsTable(rows), details
 
 
 def run_experiment(config: ExperimentConfig) -> ResultsTable:

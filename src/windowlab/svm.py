@@ -75,7 +75,7 @@ class ScoreSeries:
 
 def train(
     series: InstanceSeries,
-    C: float = 1.0,
+    C: float,
     *,
     tol: float = KKT_TOL,
     max_pair_updates: int = MAX_PAIR_UPDATES,

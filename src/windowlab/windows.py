@@ -38,8 +38,8 @@ class DegenerateGridError(ValueError):
     """All score magnitudes are zero, so no positive threshold grid exists."""
 
 
-def _sgn_array(values: np.ndarray) -> np.ndarray:
-    """Signs with the convention sgn(0) = +1."""
+def sign_labels(values) -> np.ndarray:
+    """Labels from signs, with the convention sgn(0) = +1."""
     return np.where(np.asarray(values) >= 0, 1, -1)
 
 
@@ -58,7 +58,7 @@ class WindowSizeGrid:
         object.__setattr__(self, "sizes", cleaned)
 
 
-def default_size_grid(m: int = 100) -> WindowSizeGrid:
+def default_size_grid(m: int) -> WindowSizeGrid:
     """The canonical width grid {1, 2, ..., m}."""
     return WindowSizeGrid(tuple(range(1, m + 1)))
 
@@ -100,7 +100,7 @@ def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
     starts = np.arange(0, n, alpha)
     sums = np.add.reduceat(series.scores, starts)
     lengths = np.diff(np.append(starts, n))
-    return np.repeat(_sgn_array(sums), lengths)
+    return np.repeat(sign_labels(sums), lengths)
 
 
 def _positive_counts(series: ScoreSeries) -> np.ndarray:
@@ -133,19 +133,25 @@ def tune_static(series: ScoreSeries, grid: WindowSizeGrid) -> TunedFilter:
     return TunedFilter("static", float(grid.sizes[best]), float(errors[best]))
 
 
+def budget_ladder(peak: float, m: int, lam: float) -> np.ndarray:
+    """Budgets peak * (l/m) * lam for l = 1..m: the dynamic window's threshold
+    grid and the DCA's lifespans.  Each caller rejects its own zero peak."""
+    if m < 1:
+        raise ValueError(f"ladder size must be >= 1, got {m}")
+    if not lam > 0:
+        raise ValueError(f"scale factor must be > 0, got {lam}")
+    return peak * (np.arange(1, m + 1, dtype=float) / m) * lam
+
+
 def make_threshold_grid(series: ScoreSeries, m: int, lam: float) -> ThresholdGrid:
     """Budgets b_l = max|score| * (l/m) * lam for l = 1..m."""
     if len(series) == 0:
         raise ValueError("score series is empty")
-    if m < 1:
-        raise ValueError(f"grid cardinality must be >= 1, got {m}")
-    if not lam > 0:
-        raise ValueError(f"scale factor must be > 0, got {lam}")
     peak = float(np.max(np.abs(series.scores)))
+    budgets = budget_ladder(peak, m, lam)
     if peak == 0.0:
         raise DegenerateGridError("all scores are zero; threshold grid would be degenerate")
-    levels = np.arange(1, m + 1, dtype=float) / m
-    return ThresholdGrid(peak * levels * lam, float(lam))
+    return ThresholdGrid(budgets, float(lam))
 
 
 # A bisect step costs about as much as 10 successor-table entries (about 0.5 us
@@ -214,7 +220,7 @@ def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
         raise ValueError(f"threshold must be > 0, got {beta}")
     edges = next(budget_walk(np.cumsum(np.abs(series.scores)), [float(beta)], "right"))
     cum = np.concatenate([[0.0], np.cumsum(series.scores)])
-    return np.repeat(_sgn_array(np.diff(cum[edges])), np.diff(edges))
+    return np.repeat(sign_labels(np.diff(cum[edges])), np.diff(edges))
 
 
 def tune_dynamic(series: ScoreSeries, grid: ThresholdGrid) -> TunedFilter:

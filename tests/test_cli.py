@@ -57,6 +57,25 @@ class TestRunAndAnalyze:
         assert "--seed, --n-train and --n-test" in err
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda f: f[:3] + ["nan"] + f[4:], "error rate nan is outside [0, 1]"),
+        (lambda f: f[:3] + ["-3.0"] + f[4:], "error rate -3.0 is outside [0, 1]"),
+        (lambda f: f[:3], "expected 5 comma-separated fields, got 3"),
+        (lambda f: f[:2] + ["SMOOV"] + f[3:], "'SMOOV' is not a valid Method"),
+    ], ids=["nan-error", "negative-error", "three-fields", "unknown-method"])
+    def test_analyze_names_a_bad_row(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "exp"
+        args = ["--seed", "9", "--out", str(out), *FAST]
+        assert main(["run", *args]) == 0
+        path = out / "error_rates.csv"
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("0,") and lines[2].split(",")[2] == "SMOV"
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", *args]) == 1
+        assert f"{path}:3: {message}" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
+
     def test_analyze_without_results_fails(self, tmp_path, capsys):
         code = main(["analyze", "--out", str(tmp_path / "nowhere")])
         assert code == 1

@@ -164,9 +164,9 @@ class TestRunDca:
     def test_constant_signals_present_every_two_steps(self):
         sig = signals_from([0.0] * 6, [0.5] * 6)  # csm = 0.5, k = +0.5
         pop = DCAPopulation.from_lifespans([1.0])
-        scores = run_dca_scores(sig, pop)
-        assert list(scores.labels) == [1] * 6
-        assert list(scores.vote_sums) == [1.0] * 6  # windows of two, k_sum = 1.0
+        vote_sums = run_dca_scores(sig, pop)
+        assert [oracles.sign_plus(v) for v in vote_sums] == [1] * 6
+        assert list(vote_sums) == [1.0] * 6  # windows of two, k_sum = 1.0
         spans = presentation_spans(np.cumsum(np.array([0.5] * 6)), 1.0)
         assert spans == [(0, 1), (2, 3), (4, 5)]
 
@@ -175,15 +175,13 @@ class TestRunDca:
         danger = [1.0, 0.5, 0.0, 0.75, 0.5, 1.0, 0.25, 0.5]
         sig = signals_from(safe, danger)
         pop = DCAPopulation.from_lifespans([1.5, 3.0])
-        scores = run_dca_scores(sig, pop)
-        assert np.allclose(
-            scores.vote_sums / 2, [0.5, 0.5, -0.25, 0.5, 1.25, 1.25, 0.0, 0.0]
-        )
-        assert list(scores.labels) == [1, 1, -1, 1, 1, 1, 1, 1]
-        # Same trace from the stepped oracle.
-        assert np.array_equal(
-            oracles.dca_labels(safe, danger, [1.5, 3.0]), scores.labels
-        )
+        vote_sums = run_dca_scores(sig, pop)
+        assert np.allclose(vote_sums / 2, [0.5, 0.5, -0.25, 0.5, 1.25, 1.25, 0.0, 0.0])
+        labels = [oracles.sign_plus(v) for v in vote_sums]
+        assert labels == [1, 1, -1, 1, 1, 1, 1, 1]
+        # Same trace from the stepped oracle, and from run_dca.
+        assert np.array_equal(oracles.dca_labels(safe, danger, [1.5, 3.0]), labels)
+        assert np.array_equal(run_dca(sig, pop), labels)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_stepped_oracle_on_random_signals(self, seed):
@@ -200,10 +198,10 @@ class TestRunDca:
         rng = np.random.default_rng(7)
         sig = signals_from(rng.uniform(0, 1, 50), rng.uniform(0, 1, 50))
         lifespans = init_lifespans(sig, 30, 1.0)
-        scores = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
+        vote_sums = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
         votes = oracles.dca_votes(sig.safe, sig.danger, lifespans)
         assert [len(v) for v in votes] == [30] * 50
-        assert np.allclose(scores.vote_sums, [sum(v) for v in votes])
+        assert np.allclose(vote_sums, [sum(v) for v in votes])
 
     def test_presentation_windows_partition_the_series(self):
         rng = np.random.default_rng(8)
@@ -227,9 +225,9 @@ class TestRunDca:
         danger[rng.random(n) < 0.2] = 0.0
         sig = signals_from(safe, danger)
         lifespans = init_lifespans(sig, 30, float(rng.choice([0.05, 1.0, 10.0])))
-        scores = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
+        vote_sums = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
         expected = oracles.dca_vote_sums(safe, danger, lifespans)
-        assert scores.vote_sums.tobytes() == expected.tobytes()
+        assert vote_sums.tobytes() == expected.tobytes()
 
     def test_tiny_lifespan_finishes_with_singleton_windows(self):
         # cum_csm + 1e-17 rounds back to cum_csm, so without the [start, n-1]
@@ -238,14 +236,14 @@ class TestRunDca:
         pop = DCAPopulation.from_lifespans([1e-17])
         result = {}
         worker = threading.Thread(
-            target=lambda: result.update(scores=run_dca_scores(sig, pop)), daemon=True
+            target=lambda: result.update(vote_sums=run_dca_scores(sig, pop)), daemon=True
         )
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive(), "run_dca_scores did not finish"
-        scores = result["scores"]
-        assert list(scores.vote_sums) == [0.5, -0.5, 0.5]
-        assert list(scores.labels) == [1, -1, 1]
+        vote_sums = result["vote_sums"]
+        assert list(vote_sums) == [0.5, -0.5, 0.5]
+        assert [oracles.sign_plus(v) for v in vote_sums] == [1, -1, 1]
         assert presentation_spans(np.cumsum([0.5, 0.5, 1.0]), 1e-17) == [(0, 0), (1, 1), (2, 2)]
 
     @pytest.mark.parametrize("lam", [1.0, 100.0])

@@ -188,6 +188,15 @@ class TestResultsTableCsv:
         with pytest.raises(ValueError, match="header"):
             ResultsTable.read_csv(bad)
 
+    def test_rejects_non_finite_distance(self, small_table, tmp_path):
+        table, _ = small_table
+        path = table.write_csv(tmp_path / "error_rates.csv")
+        lines = path.read_text().splitlines()
+        lines[4] = ",".join(["0", "inf", *lines[4].split(",")[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="csv:5: centroid distance inf is not finite"):
+            ResultsTable.read_csv(path)
+
 
 class TestAnalyze:
     def test_report_structure(self, small_table):
@@ -211,8 +220,11 @@ class TestAnalyze:
 
     def test_missing_cell_is_named(self, small_table, tmp_path):
         table, _ = small_table
-        rows = tuple(r for r in table.rows if (r.dataset_index, r.method) != (2, Method.DMOV2))
-        path = ResultsTable(rows).write_csv(tmp_path / "error_rates.csv")
+        path = table.write_csv(tmp_path / "error_rates.csv")
+        lines = path.read_text().splitlines(keepends=True)
+        (cut,) = [line for line in lines if line.startswith("2,") and ",DMOV2," in line]
+        lines.remove(cut)
+        path.write_text("".join(lines))
         with pytest.raises(ValueError, match="one DMOV2 row for dataset 2, got 0"):
             analyze(ResultsTable.read_csv(path))
 

@@ -69,7 +69,7 @@ class TestTrainBasics:
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="both classes"):
-            train(series([(0, 0), (1, 1)], [1, 1]))
+            train(series([(0, 0), (1, 1)], [1, 1]), C=1.0)
 
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError, match="C"):
@@ -77,7 +77,7 @@ class TestTrainBasics:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            train(series(np.empty((0, 2)), []))
+            train(series(np.empty((0, 2)), []), C=1.0)
 
     def test_nonconvergence_raises(self):
         rng = np.random.default_rng(0)
@@ -95,7 +95,7 @@ class TestTrainBasics:
         feats[0, 0] = 1e200
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="violation gap is -?(nan|inf) at pair update"):
-            train(InstanceSeries(feats, ds.train.labels))
+            train(InstanceSeries(feats, ds.train.labels), C=1.0)
         assert time.perf_counter() - start < 1.0
 
 
@@ -304,7 +304,7 @@ class TestScoreSeries:
     def test_truths_copied_in_order(self):
         cfg = GeneratorConfig(class2_mean=0.5, seed=8, n_train=80, n_test=80)
         ds = generate_dataset(cfg)
-        out = score_series(train(ds.train), ds.test)
+        out = score_series(train(ds.train, C=1.0), ds.test)
         assert np.array_equal(out.truths, ds.test.labels)
 
     def test_length_mismatch_rejected(self):
@@ -334,6 +334,6 @@ def test_train_rejects_nan_feature_fast():
     feats[417, 1] = np.nan
     start = time.perf_counter()
     with pytest.raises(ValueError, match="feature f2 is nan at time index 418"):
-        train(InstanceSeries(feats, ds.train.labels))
+        train(InstanceSeries(feats, ds.train.labels), C=1.0)
     assert time.perf_counter() - start < 1.0
 
