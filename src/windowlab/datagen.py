@@ -31,9 +31,15 @@ import numpy as np
 NORMAL_LABEL = -1
 ANOMALOUS_LABEL = 1
 
-#: Nominal mean of the normal class and the sweep width used by benchmark
-#: suites: anomalous-class means run from ``class1_mean`` (total overlap) to
-#: ``class1_mean + SWEEP_WIDTH`` (well separated).
+#: Features per instance (the DCA needs exactly two), the normal class's
+#: nominal mean on each, and the per-feature noise of both classes.
+N_FEATURES = 2
+CLASS1_MEAN = 0.2
+STDDEV = 0.1
+
+#: Sweep width used by benchmark suites: anomalous-class means run from
+#: ``CLASS1_MEAN`` (total overlap) to ``CLASS1_MEAN + SWEEP_WIDTH`` (well
+#: separated).
 SWEEP_WIDTH = 0.6
 
 
@@ -44,29 +50,22 @@ class GeneratorConfig:
     ``n_train`` and ``n_test`` must each be divisible by 4 so the quarter
     structure is exact.  Both features of a class share the same nominal
     mean, so the nominal centroid distance is
-    ``sqrt(n_features) * (class2_mean - class1_mean)``.
+    ``sqrt(N_FEATURES) * (class2_mean - CLASS1_MEAN)``.
     """
 
     class2_mean: float
     seed: int
     n_train: int = 1000
     n_test: int = 1000
-    n_features: int = 2
-    class1_mean: float = 0.2
-    stddev: float = 0.1
 
     def __post_init__(self) -> None:
         for name, n in (("n_train", self.n_train), ("n_test", self.n_test)):
             if n <= 0 or n % 4 != 0:
                 raise ValueError(f"{name} must be a positive multiple of 4, got {n}")
-        if self.n_features < 1:
-            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
-        if not self.stddev > 0:
-            raise ValueError(f"stddev must be > 0, got {self.stddev}")
-        if self.class2_mean < self.class1_mean:
+        if self.class2_mean < CLASS1_MEAN:
             raise ValueError(
                 f"class2_mean ({self.class2_mean}) must not be below "
-                f"class1_mean ({self.class1_mean})"
+                f"CLASS1_MEAN ({CLASS1_MEAN})"
             )
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
@@ -139,8 +138,8 @@ def quarter_labels(n: int) -> np.ndarray:
 
 def _sample_split(rng: np.random.Generator, n: int, config: GeneratorConfig) -> InstanceSeries:
     labels = quarter_labels(n)
-    means = np.where(labels[:, None] == ANOMALOUS_LABEL, config.class2_mean, config.class1_mean)
-    features = rng.standard_normal((n, config.n_features)) * config.stddev + means
+    means = np.where(labels[:, None] == ANOMALOUS_LABEL, config.class2_mean, CLASS1_MEAN)
+    features = rng.standard_normal((n, N_FEATURES)) * STDDEV + means
     return InstanceSeries(features, labels)
 
 
@@ -167,8 +166,8 @@ def generate_benchmark_suite(
     n_datasets: int, base: GeneratorConfig, seed: int
 ) -> list[Dataset]:
     """Generate the separability sweep: ``n_datasets`` datasets whose
-    anomalous-class means are evenly spaced from ``base.class1_mean`` to
-    ``base.class1_mean + SWEEP_WIDTH``.
+    anomalous-class means are evenly spaced from ``CLASS1_MEAN`` to
+    ``CLASS1_MEAN + SWEEP_WIDTH``.
 
     ``base.class2_mean`` is ignored; ``base.seed`` is replaced by a seed
     derived from ``seed`` and the dataset index.
@@ -180,7 +179,7 @@ def generate_benchmark_suite(
     for k in range(n_datasets):
         cfg = replace(
             base,
-            class2_mean=base.class1_mean + k * step,
+            class2_mean=CLASS1_MEAN + k * step,
             seed=suite_member_seed(seed, k),
         )
         suite.append(generate_dataset(cfg))

@@ -19,12 +19,10 @@ anomalous when the mean of its received votes is >= 0.
 
 Their accumulate-and-reset behaviour gives each cell the same disjoint,
 contiguous, covering window structure as the dynamic moving-window filter, with
-csm as the score magnitude: each cell is one lane of ``windows.budget_walk``,
-closing on reaching the lifespan where a dynamic window stays within its
-budget.  Short-lived cells, with many windows each, chase a successor table
-built for all starts; long-lived ones, expecting fewer than one window per
-``windows._BISECT_STEP_COST`` instances, bisect the prefix sums window by
-window.  Both give the same windows.
+csm as the score magnitude: each cell is one lane of edges from
+``windows.budget_walk``, closing on reaching the lifespan where a dynamic
+window stays within its budget.  A cell's vote in a window is a difference of
+``windows.prefix_sums`` over k, the same window sum the filters sign.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ANOMALOUS_LABEL, InstanceSeries
-from .windows import budget_ladder, budget_walk, sign_labels
+from .windows import budget_ladder, budget_walk, prefix_sums, sign_labels
 
 
 class NormalizationError(ValueError):
@@ -147,7 +145,7 @@ def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> np.ndarr
     if n == 0:
         raise ValueError("signal series is empty")
     csm, k = signal_transform(signals.safe, signals.danger)
-    cum_k = np.concatenate([[0.0], np.cumsum(k)])
+    cum_k = prefix_sums(k)
 
     # Range-add votes cell by cell, closings first: a window-by-window walk's add order.
     vote_diff = np.zeros(n + 1)

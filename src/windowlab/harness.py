@@ -37,6 +37,7 @@ import numpy as np
 from . import dca, freq, windows
 from . import svm as svm_mod
 from .datagen import (
+    CLASS1_MEAN,
     Dataset,
     GeneratorConfig,
     InstanceSeries,
@@ -106,7 +107,7 @@ class ExperimentConfig:
 
     def base_generator_config(self) -> GeneratorConfig:
         return GeneratorConfig(
-            class2_mean=GeneratorConfig.class1_mean,
+            class2_mean=CLASS1_MEAN,
             seed=0,
             n_train=self.n_train,
             n_test=self.n_test,
@@ -215,11 +216,7 @@ class ResultsTable:
                 raise ValueError(f"results need one {method} row for dataset {index}, got {count}")
 
     def methods(self) -> tuple[Method, ...]:
-        seen: list[Method] = []
-        for row in self.rows:
-            if row.method not in seen:
-                seen.append(row.method)
-        return tuple(seen)
+        return tuple(dict.fromkeys(row.method for row in self.rows))
 
     def dataset_indexes(self) -> tuple[int, ...]:
         return tuple(sorted({row.dataset_index for row in self.rows}))
@@ -249,15 +246,21 @@ class ResultsTable:
     def read_csv(cls, path) -> "ResultsTable":
         """Read a written table back, naming ``path:line`` of the first bad row."""
         rows = []
+        distances = {}
         with Path(path).open(newline="", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != _CSV_HEADER:
                 raise ValueError(f"unexpected header in {path}: {header!r}")
             for lineno, line in enumerate(fh, 2):
                 try:
-                    rows.append(_parse_row(line))
+                    row = _parse_row(line)
+                    first = distances.setdefault(row.dataset_index, row.centroid_distance)
+                    if row.centroid_distance != first:
+                        raise ValueError(f"centroid distance {row.centroid_distance!r} differs "
+                                         f"from dataset {row.dataset_index}'s earlier {first!r}")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
+                rows.append(row)
         return cls(tuple(rows))
 
 
@@ -367,17 +370,11 @@ def analyze(results: ResultsTable, significance: float = 0.05) -> AnalysisReport
 
     mean_errors = tuple((m, float(errors[m].mean())) for m in methods)
     ordering = tuple(sorted(candidates, key=lambda m: float(errors[m].mean())))
+    pooled = {(c.a, c.b): c.report for c in one_sided if c.pool == "all"}
     links = []
     for better, worse in zip(ordering, ordering[1:]):
-        found = next(
-            (
-                c
-                for c in one_sided
-                if c.pool == "all" and c.a == better and c.b == worse
-            ),
-            None,
-        )
-        p = found.report.p_value if found and found.report else None
+        report = pooled.get((better, worse))
+        p = report.p_value if report is not None else None
         links.append(OrderingLink(better, worse, p, p is not None and p < significance))
     return AnalysisReport(
         significance=significance,

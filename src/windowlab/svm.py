@@ -140,24 +140,16 @@ def train(
             f"no convergence within {max_pair_updates} pair updates (gap {gap:.3e})"
         )
 
+    # Unbounded support vectors, in both sets, pin the bias exactly; average
+    # them for stability.  Without any, take the midpoint of the final pair's
+    # candidate biases: up[i] and low[j] are the extremes of crit over each set.
+    free = (up_pen == 0.0) & (low_pen == 0.0)
+    b = crit[free].mean() if free.any() else (up[i] + low[j]) / 2.0
     np.clip(alphas, 0.0, C, out=alphas)
     w = X.T @ (alphas * y)
-    b = _bias(alphas, y, crit, C)
     return LinearModel(
         w=w, b=float(b), alphas=alphas, C=float(C), pair_updates=update, gap=float(gap)
     )
-
-
-def _bias(alphas: np.ndarray, y: np.ndarray, crit: np.ndarray, C: float) -> float:
-    # Unbounded support vectors pin the bias exactly; average them for stability.
-    free = (alphas > 0) & (alphas < C)
-    if free.any():
-        return float(crit[free].mean())
-    up_ok = np.where(y > 0, alphas < C, alphas > 0)
-    low_ok = np.where(y > 0, alphas > 0, alphas < C)
-    hi = crit[up_ok].max() if up_ok.any() else -np.inf
-    lo = crit[low_ok].min() if low_ok.any() else np.inf
-    return float((hi + lo) / 2.0)
 
 
 def dual_objective(model: LinearModel, series: InstanceSeries) -> float:

@@ -7,20 +7,21 @@ dynamic filter grows each window until the accumulated score magnitude would
 exceed a budget, so windows are narrow where the classifier is confident and
 wide where it is not.
 
-A window always contains at least one index: if a single score's magnitude
-already exceeds the dynamic budget, that index forms a singleton window.
-Consecutive windows share no endpoints; the next window starts one index
-after the previous one ends, which keeps every label in {-1, +1}.  Dynamic
-windows come from ``budget_walk``, which ``dca`` shares: a window's end depends
-only on its start, so each budget's windows are a chase from index 0.  A
-budget expecting many windows (total magnitude / budget) reads every step
-from a successor table built for all starts at once; one expecting few bisects
-the prefix sums step by step instead, so a coarse budget costs its windows,
-not the series length.  In the DCA a window closes on reaching its budget
-instead of staying within it.
+A partition is an array of edges ``e`` from ``e[0] = 0`` to ``e[-1] = n``:
+window ``j`` is the slice ``e[j]:e[j + 1]``, at least one index long, and its
+sum is a difference of ``prefix_sums``.  Labels, tuning and the DCA's votes
+all read window sums that way; the filters differ only in their edges.
+Static edges are every ``alpha``-th index.  Dynamic edges come from
+``budget_walk``, which ``dca`` shares: a window's end depends only on its
+start, so each budget's windows are a chase from index 0.  A budget expecting
+many windows (total magnitude / budget) reads every step from a successor
+table built for all starts at once; one expecting few bisects the prefix sums
+step by step instead, so a coarse budget costs its windows, not the series
+length.  In the DCA a window closes on reaching its budget instead of staying
+within it.
 
 Tuning is exhaustive minimization of the mean squared label error over a
-parameter grid; ties go to the smallest parameter.
+parameter grid, one lane of edges per value; ties go to the smallest.
 """
 
 from __future__ import annotations
@@ -90,6 +91,21 @@ class TunedFilter:
     training_error: float
 
 
+def prefix_sums(values) -> np.ndarray:
+    """0.0, then the running sums ``p``: slice ``i:j`` sums to ``p[j] - p[i]``."""
+    return np.concatenate([[0.0], np.cumsum(values)])
+
+
+def _static_edges(n: int, alpha: int) -> np.ndarray:
+    return np.minimum(np.arange(0, n + alpha, alpha), n)
+
+
+def _window_labels(series: ScoreSeries, edges: np.ndarray) -> np.ndarray:
+    cum = prefix_sums(series.scores)
+    starts, stops = edges[:-1], edges[1:]
+    return np.repeat(sign_labels(cum[stops] - cum[starts]), stops - starts)
+
+
 def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
     """Label every instance with the sign of its fixed-width window's score sum."""
     n = len(series)
@@ -97,40 +113,32 @@ def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
         raise ValueError("score series is empty")
     if alpha < 1:
         raise ValueError(f"window size must be >= 1, got {alpha}")
-    starts = np.arange(0, n, alpha)
-    sums = np.add.reduceat(series.scores, starts)
-    lengths = np.diff(np.append(starts, n))
-    return np.repeat(sign_labels(sums), lengths)
+    return _window_labels(series, _static_edges(n, alpha))
 
 
-def _positive_counts(series: ScoreSeries) -> np.ndarray:
-    """Prefix counts of positive truths; the tuners' wrong-label counts need +-1 truths."""
+def _tune(kind, series: ScoreSeries, params, lanes: Iterable[np.ndarray]) -> TunedFilter:
+    """The parameter whose lane of edges mislabels fewest instances; ties go
+    to the first.  Lanes are consumed one at a time.  A window labeled +1 gets
+    its negatives wrong, one labeled -1 its positives, and ``4 * wrong / n``
+    is the mean squared label error."""
     if len(series) == 0 or not np.all(np.abs(series.truths) == 1):
         raise ValueError("score series must be nonempty, with truth labels -1 or +1")
-    return np.concatenate([[0], np.cumsum(series.truths > 0)])
-
-
-def _wrong_labels(sums: np.ndarray, starts: np.ndarray, stops: np.ndarray, cum_pos) -> int:
-    """Instances whose window-sum sign differs from their truth: a window labeled
-    +1 gets its negatives wrong, one labeled -1 its positives."""
-    pos = cum_pos[stops] - cum_pos[starts]
-    return np.where(sums >= 0, stops - starts - pos, pos).sum()
+    cum = prefix_sums(series.scores)
+    cum_pos = prefix_sums(series.truths > 0)
+    wrong = np.empty(len(params))
+    for lane, edges in enumerate(lanes):
+        starts, stops = edges[:-1], edges[1:]
+        pos = cum_pos[stops] - cum_pos[starts]
+        wrong[lane] = np.where(cum[stops] - cum[starts] >= 0, stops - starts - pos, pos).sum()
+    errors = (4 * wrong) / len(series)
+    best = int(np.argmin(errors))
+    return TunedFilter(kind, float(params[best]), float(errors[best]))
 
 
 def tune_static(series: ScoreSeries, grid: WindowSizeGrid) -> TunedFilter:
-    """Width in the grid minimizing training error; ties go to the smallest.
-    Wrong labels are counted per window, as in ``tune_dynamic``; the window
-    sums stay ``reduceat`` sums, which ``static_label`` signs."""
-    cum_pos = _positive_counts(series)
+    """Width in the grid minimizing training error; ties go to the smallest."""
     n = len(series)
-    wrong = np.empty(len(grid.sizes), dtype=np.int64)
-    for k, alpha in enumerate(grid.sizes):
-        starts = np.arange(0, n, alpha)
-        stops = np.minimum(starts + alpha, n)
-        wrong[k] = _wrong_labels(np.add.reduceat(series.scores, starts), starts, stops, cum_pos)
-    errors = (4 * wrong) / n
-    best = int(np.argmin(errors))
-    return TunedFilter("static", float(grid.sizes[best]), float(errors[best]))
+    return _tune("static", series, grid.sizes, (_static_edges(n, a) for a in grid.sizes))
 
 
 def budget_ladder(peak: float, m: int, lam: float) -> np.ndarray:
@@ -162,9 +170,8 @@ _BISECT_STEP_COST = 10
 def budget_walk(
     cum_mag: np.ndarray, budgets: Iterable[float], side: Literal["left", "right"]
 ) -> Iterator[np.ndarray]:
-    """Yield each budget's window edges ``e`` over prefix sums of nonnegative
-    magnitudes, one lane per budget: ``e[0] = 0``, ``e[-1] = n``, and window
-    ``j`` is the 0-based slice ``e[j]:e[j + 1]``.
+    """Yield each budget's window edges over prefix sums of nonnegative
+    magnitudes, one lane per budget.
 
     The window from ``start`` ends where ``cum_mag[start - 1] + budget`` (0.0
     before the first index) is met: at the last index at or below it for
@@ -219,24 +226,13 @@ def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
     if not beta > 0:
         raise ValueError(f"threshold must be > 0, got {beta}")
     edges = next(budget_walk(np.cumsum(np.abs(series.scores)), [float(beta)], "right"))
-    cum = np.concatenate([[0.0], np.cumsum(series.scores)])
-    return np.repeat(sign_labels(np.diff(cum[edges])), np.diff(edges))
+    return _window_labels(series, edges)
 
 
 def tune_dynamic(series: ScoreSeries, grid: ThresholdGrid) -> TunedFilter:
-    """Budget in the grid minimizing training error; ties go to the smallest.
-    With every budget a lane, wrong labels are counted per window from prefix
-    sums; ``4 * wrong / n`` is the mean squared error of ``dynamic_label``."""
-    cum_pos = _positive_counts(series)
-    cum = np.concatenate([[0.0], np.cumsum(series.scores)])
-    wrong = np.empty(len(grid.thresholds), dtype=np.int64)
+    """Budget in the grid minimizing training error; ties go to the smallest."""
     walk = budget_walk(np.cumsum(np.abs(series.scores)), grid.thresholds, "right")
-    for lane, edges in enumerate(walk):
-        starts, stops = edges[:-1], edges[1:]
-        wrong[lane] = _wrong_labels(cum[stops] - cum[starts], starts, stops, cum_pos)
-    errors = (4 * wrong) / len(series)
-    best = int(np.argmin(errors))
-    return TunedFilter("dynamic", float(grid.thresholds[best]), float(errors[best]))
+    return _tune("dynamic", series, grid.thresholds, walk)
 
 
 def apply(tuned: TunedFilter, series: ScoreSeries) -> np.ndarray:

@@ -62,7 +62,8 @@ class TestRunAndAnalyze:
         (lambda f: f[:3] + ["-3.0"] + f[4:], "error rate -3.0 is outside [0, 1]"),
         (lambda f: f[:3], "expected 5 comma-separated fields, got 3"),
         (lambda f: f[:2] + ["SMOOV"] + f[3:], "'SMOOV' is not a valid Method"),
-    ], ids=["nan-error", "negative-error", "three-fields", "unknown-method"])
+        (lambda f: f[:1] + ["0.9"] + f[2:], "centroid distance 0.9 differs from dataset 0's"),
+    ], ids=["nan-error", "negative-error", "three-fields", "unknown-method", "split-distance"])
     def test_analyze_names_a_bad_row(self, tmp_path, capsys, edit, message):
         out = tmp_path / "exp"
         args = ["--seed", "9", "--out", str(out), *FAST]

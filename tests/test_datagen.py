@@ -31,10 +31,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_test"):
             small_config(n_test=9)
 
-    def test_rejects_nonpositive_stddev(self):
-        with pytest.raises(ValueError, match="stddev"):
-            small_config(stddev=0.0)
-
     def test_rejects_class2_below_class1(self):
         with pytest.raises(ValueError, match="class2_mean"):
             small_config(class2_mean=0.1)

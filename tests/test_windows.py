@@ -1,5 +1,7 @@
+import ast
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,3 +526,15 @@ def test_size_grid_sorts_and_dedupes():
         WindowSizeGrid((0, 2))
     with pytest.raises(ValueError):
         WindowSizeGrid(())
+
+
+def test_oracles_import_nothing_from_the_package():
+    # An oracle that reused, say, windows.prefix_sums would check the code against itself.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "windowlab"]
