@@ -150,10 +150,11 @@ def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> np.ndarr
     # Range-add votes cell by cell, closings first: a window-by-window walk's add order.
     vote_diff = np.zeros(n + 1)
     for edges in budget_walk(np.cumsum(csm), [c.lifespan for c in population.cells], "left"):
-        starts, stops = edges[:-1], edges[1:]
-        votes = cum_k[stops] - cum_k[starts]
-        vote_diff[stops] -= votes
-        vote_diff[starts] += votes
+        c, d = cum_k[edges], vote_diff[edges]
+        votes = c[1:] - c[:-1]
+        d[1:] -= votes
+        d[:-1] += votes
+        vote_diff[edges] = d
 
     return np.cumsum(vote_diff[:-1])
 

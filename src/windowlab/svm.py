@@ -84,8 +84,9 @@ def train(
 
     Raises ``ValueError`` if only one class is present or ``C <= 0``, and
     ``ConvergenceError`` if the violation gap has not closed within
-    ``max_pair_updates`` two-variable steps or stops being finite.  A +inf or
-    NaN candidate bias stops it even outside a set: plus the penalty it is NaN.
+    ``max_pair_updates`` two-variable steps, stops being finite, or stalls (no
+    new minimum in 10 steps per instance, at least 10,000: pairs can zig-zag).
+    A +inf or NaN candidate bias stops it even outside a set: plus the penalty it is NaN.
     """
     if len(series) == 0:
         raise ValueError("training set is empty")
@@ -104,7 +105,8 @@ def train(
     up_pen = np.where(y > 0, 0.0, -np.inf)
     low_pen = np.where(y > 0, np.inf, 0.0)
     up, low, col_i, col_j = (np.empty(n) for _ in range(4))
-    gap = np.inf
+    gap = best_gap = np.inf
+    best_at, patience = 0, 10 * max(n, 1_000)  # 20x a benchmark split's longest stall
 
     for update in range(max_pair_updates):
         np.add(crit, up_pen, out=up)
@@ -116,6 +118,11 @@ def train(
             raise ConvergenceError(f"violation gap is {gap} at pair update {update}")
         if gap <= tol:
             break
+        if gap < best_gap:
+            best_gap, best_at = gap, update
+        elif update - best_at >= patience:
+            raise ConvergenceError(f"gap stalled at pair update {update}: no new minimum "
+                                   f"since update {best_at} (best gap {best_gap:.3e})")
         # Move t along (+y_i e_i, -y_j e_j), which preserves sum(y a).
         eta = sq_norms[i] + sq_norms[j] - 2.0 * float(X[i] @ X[j])
         t = gap / eta if eta > 1e-12 else np.inf

@@ -13,12 +13,12 @@ sum is a difference of ``prefix_sums``.  Labels, tuning and the DCA's votes
 all read window sums that way; the filters differ only in their edges.
 Static edges are every ``alpha``-th index.  Dynamic edges come from
 ``budget_walk``, which ``dca`` shares: a window's end depends only on its
-start, so each budget's windows are a chase from index 0.  A budget expecting
-many windows (total magnitude / budget) reads every step from a successor
-table built for all starts at once; one expecting few bisects the prefix sums
-step by step instead, so a coarse budget costs its windows, not the series
-length.  In the DCA a window closes on reaching its budget instead of staying
-within it.
+start, so each budget's windows are a path from index 0.  A budget expecting
+many windows (total magnitude / budget) builds a successor table for all
+starts at once and walks it by pointer doubling, about log2(windows) array
+steps; one expecting few bisects the prefix sums window by window instead, so
+a coarse budget costs its windows, not the series length.  In the DCA a
+window closes on reaching its budget instead of staying within it.
 
 Tuning is exhaustive minimization of the mean squared label error over a
 parameter grid, one lane of edges per value; ties go to the smallest.
@@ -101,9 +101,8 @@ def _static_edges(n: int, alpha: int) -> np.ndarray:
 
 
 def _window_labels(series: ScoreSeries, edges: np.ndarray) -> np.ndarray:
-    cum = prefix_sums(series.scores)
-    starts, stops = edges[:-1], edges[1:]
-    return np.repeat(sign_labels(cum[stops] - cum[starts]), stops - starts)
+    c = prefix_sums(series.scores)[edges]
+    return np.repeat(sign_labels(c[1:] - c[:-1]), edges[1:] - edges[:-1])
 
 
 def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
@@ -118,18 +117,19 @@ def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
 
 def _tune(kind, series: ScoreSeries, params, lanes: Iterable[np.ndarray]) -> TunedFilter:
     """The parameter whose lane of edges mislabels fewest instances; ties go
-    to the first.  Lanes are consumed one at a time.  A window labeled +1 gets
-    its negatives wrong, one labeled -1 its positives, and ``4 * wrong / n``
-    is the mean squared label error."""
+    to the first.  Lanes are consumed one at a time.  A -1 window gets its
+    positives wrong, a +1 window its negatives: all positives, plus per +1
+    window its width less twice its positives, a difference of ``q``.
+    ``4 * wrong / n`` is the mean squared label error."""
     if len(series) == 0 or not np.all(np.abs(series.truths) == 1):
         raise ValueError("score series must be nonempty, with truth labels -1 or +1")
     cum = prefix_sums(series.scores)
     cum_pos = prefix_sums(series.truths > 0)
-    wrong = np.empty(len(params))
+    q = np.arange(len(cum)) - 2 * cum_pos
+    wrong = np.full(len(params), cum_pos[-1])
     for lane, edges in enumerate(lanes):
-        starts, stops = edges[:-1], edges[1:]
-        pos = cum_pos[stops] - cum_pos[starts]
-        wrong[lane] = np.where(cum[stops] - cum[starts] >= 0, stops - starts - pos, pos).sum()
+        c, g = cum[edges], q[edges]
+        wrong[lane] += (g[1:] - g[:-1]) @ (c[1:] - c[:-1] >= 0)
     errors = (4 * wrong) / len(series)
     best = int(np.argmin(errors))
     return TunedFilter(kind, float(params[best]), float(errors[best]))
@@ -162,8 +162,8 @@ def make_threshold_grid(series: ScoreSeries, m: int, lam: float) -> ThresholdGri
     return ThresholdGrid(budgets, float(lam))
 
 
-# A bisect step costs about as much as 10 successor-table entries (about 0.5 us
-# per window against 0.05 us per start, timed at n = 1,000 and 8,000).
+# A bisect step costs about as much as 10 to 14 starts of a doubling lane (about
+# 0.6 us per window against 0.05 us per start, timed at n = 1,000 and 8,000).
 _BISECT_STEP_COST = 10
 
 
@@ -176,28 +176,29 @@ def budget_walk(
     The window from ``start`` ends where ``cum_mag[start - 1] + budget`` (0.0
     before the first index) is met: at the last index at or below it for
     ``side="right"``, the first reaching it for ``side="left"``, clipped to
-    ``[start + 1, n]``.  That end depends on the start alone, so a lane is a
-    chase from 0, one step per window, in one of two ways chosen by the lane's
+    ``[start + 1, n]``.  That end depends on the start alone, so a lane is the
+    path from 0 through it, found in one of two ways chosen by the lane's
     expected window count ``cum_mag[-1] / budget``:
 
-    * many windows: one ``searchsorted`` over all n starts gives every start's
-      successor, and the chase reads that table;
+    * many windows: ``searchsorted`` gives the successor table ``s`` of every
+      start, and of start n, whose floor n + 1 clips to n; ``s`` jumping m
+      windows maps the first m edges to the next m, then ``s[s]`` jumps 2m;
     * few windows (under n / ``_BISECT_STEP_COST``): each step bisects the
       prefix sums from ``start`` alone, so the lane costs its windows, not n.
 
     Both compute the same float target and clip, so they give the same edges.
     Lanes are independent, so budgets may come in any order."""
     n = cum_mag.shape[0]
-    before = np.concatenate([[0.0], cum_mag[:-1]])
-    floor = np.arange(1, n + 1)
+    before = np.concatenate([[0.0], cum_mag[:-1], [np.inf]])
+    floor = np.arange(1, n + 2)
     total = float(cum_mag[-1]) if n else 0.0
     cum = pre = None
     for budget in budgets:
         budget = float(budget)
-        start, edges = 0, [0]
         if total * _BISECT_STEP_COST < n * budget:
             if cum is None:
                 cum, pre = cum_mag.tolist(), before.tolist()
+            start, edges = 0, [0]
             # bisect's bounds carry the clip to [start + 1, n]
             if side == "right":
                 while start < n:
@@ -207,16 +208,17 @@ def budget_walk(
                 while start < n:
                     start = bisect_left(cum, pre[start] + budget, start, n - 1) + 1
                     edges.append(start)
+            yield np.fromiter(edges, np.intp, len(edges))
         else:
             succ = cum_mag.searchsorted(before + budget, side)
             succ += side == "left"
             np.maximum(succ, floor, out=succ)
             np.minimum(succ, n, out=succ)
-            step = memoryview(succ)  # Python ints, read without converting the table
-            while start < n:
-                start = step[start]
-                edges.append(start)
-        yield np.fromiter(edges, np.intp, len(edges))
+            # m <= windows <= n, so indices stay in range; clip mode skips take's copy of out
+            path, jump, m = np.zeros(2 * n, np.intp), np.empty_like(succ), 1
+            while succ.take(path[:m], out=path[m : 2 * m], mode="clip")[-1] < n:
+                succ, jump, m = succ.take(succ, out=jump, mode="clip"), succ, 2 * m
+            yield path[: path[: 2 * m].searchsorted(n) + 1]  # rises to n, then stays
 
 
 def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:

@@ -85,6 +85,18 @@ class TestTrainBasics:
         with pytest.raises(ConvergenceError):
             train(overlapping, C=1.0, max_pair_updates=1)
 
+    def test_stalled_gap_stops_the_solver(self):
+        # Wide, overlapping features make maximal-violating pairs zig-zag: the
+        # gap never falls below its starting 2.0 in 60,000 updates, and without
+        # the stop this ran the whole default cap, about 20 s.
+        rng = np.random.default_rng(0)
+        stalled = series(rng.uniform(0, 125, (299, 3)), rng.choice([-1, 1], 299))
+        start = time.perf_counter()
+        stop = r"no new minimum since update 0 \(best gap 2\.000e\+00\)"
+        with pytest.raises(ConvergenceError, match=stop):
+            train(stalled, C=62.7)
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_gap_stops_the_solver(self):
         # A finite but huge feature overflows the kernel products: the gap is

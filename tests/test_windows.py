@@ -365,6 +365,23 @@ class TestBudgetWalk:
         for (got, _), budget in zip(lanes, budgets):
             assert got == oracles.budget_spans(increments, budget, side)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_doubling_lanes_around_powers_of_two(self, side, k):
+        """Table lanes of 2**k - 1, 2**k and 2**k + 1 two-index windows, and
+        all-singleton lanes (a path n + 1 long) over as many indices; k = 1
+        includes n = 1."""
+        cases = [(np.ones(2 * w), 2.0, w) for w in (2**k - 1, 2**k, 2**k + 1)]
+        cases += [(np.ones(m), 0.5, m) for m in (2**k - 1, 2**k, 2**k + 1)]
+        for increments, budget, n_windows in cases:
+            cum = np.cumsum(increments)
+            (edges,) = budget_walk(cum, [budget], side)
+            assert edges.dtype == np.intp and len(edges) == n_windows + 1
+            assert np.all(np.diff(edges) > 0)
+            ((spans, bisect),) = lane_chases(cum, [budget], side)
+            assert not bisect
+            assert spans == oracles.budget_spans(increments, budget, side)
+
     def test_right_stays_within_budget_left_reaches_it(self):
         cum = np.cumsum([0.5, 0.5, 0.5, 0.5, 0.5])
         budgets = np.array([0.75, 1.0])
