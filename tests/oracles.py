@@ -96,6 +96,11 @@ def tune_dynamic(scores, truths, betas) -> tuple[float, float]:
     return best
 
 
+def budget_ladder(peak: float, m: int, lam: float) -> list[float]:
+    """Budgets peak * (l/m) * lam for l = 1..m, multiplied in that order."""
+    return [peak * (l / m) * lam for l in range(1, m + 1)]
+
+
 def prefix_sums(values) -> list[float]:
     sums = []
     total = 0.0
@@ -293,6 +298,35 @@ def dca_votes(safe, danger, lifespans) -> list[list[float]]:
             for j in range(start, n):
                 votes[j].append(k_sum)
     return votes
+
+
+def dca_signals(features, labels, anomalous: int = 1) -> tuple[list[float], list[float]]:
+    """Safe and danger signals of a two-feature block: each feature min-max
+    normalized by loops, the one with the larger Pearson correlation with the
+    anomaly indicator (+1 anomalous, -1 otherwise; the first on a tie) is
+    danger, and the other is safe, flipped when it correlates positively."""
+    columns = [[float(row[j]) for row in features] for j in range(2)]
+    indicator = [1.0 if int(lab) == anomalous else -1.0 for lab in labels]
+    n = len(indicator)
+    norm, corr = [], []
+    for col in columns:
+        lo = hi = col[0]
+        for x in col:
+            lo, hi = min(lo, x), max(hi, x)
+        scaled = [(x - lo) / (hi - lo) for x in col]
+        mean_x, mean_a = sum(scaled) / n, sum(indicator) / n
+        cov = var_x = var_a = 0.0
+        for x, a in zip(scaled, indicator):
+            cov += (x - mean_x) * (a - mean_a)
+            var_x += (x - mean_x) ** 2
+            var_a += (a - mean_a) ** 2
+        norm.append(scaled)
+        corr.append(cov / (var_x * var_a) ** 0.5)
+    danger_idx = 0 if corr[0] >= corr[1] else 1
+    safe = norm[1 - danger_idx]
+    if corr[1 - danger_idx] > 0:
+        safe = [1.0 - s for s in safe]
+    return safe, norm[danger_idx]
 
 
 def dca_labels(safe, danger, lifespans) -> np.ndarray:
