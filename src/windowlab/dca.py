@@ -22,7 +22,8 @@ contiguous, covering window structure as the dynamic moving-window filter, with
 csm as the score magnitude: each cell is one lane of edges from
 ``windows.budget_walk``, closing on reaching the lifespan where a dynamic
 window stays within its budget.  A cell's vote in a window is a difference of
-``windows.prefix_sums`` over k, the same window sum the filters sign.
+``windows.prefix_sums`` over k, the same window sum the filters sign.  A batch
+of lanes adds its votes in one call, in the order of a window-by-window loop.
 """
 
 from __future__ import annotations
@@ -148,13 +149,18 @@ def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> np.ndarr
     cum_k = prefix_sums(k)
 
     # Range-add votes cell by cell, closings first: a window-by-window walk's add order.
-    vote_diff = np.zeros(n + 1)
-    for edges in budget_walk(np.cumsum(csm), [c.lifespan for c in population.cells], "left"):
-        c, d = cum_k[edges], vote_diff[edges]
+    vote_diff, lifespans = np.zeros(n + 1), [c.lifespan for c in population.cells]
+    for edges, starts in budget_walk(np.cumsum(csm), lifespans, "left"):
+        c = cum_k[edges]
         votes = c[1:] - c[:-1]
-        d[1:] -= votes
-        d[:-1] += votes
-        vote_diff[edges] = d
+        if len(starts) == 1:  # a lane's edges are distinct: gather, update, scatter
+            d = vote_diff[edges]
+            d[1:] -= votes
+            d[:-1] += votes
+            vote_diff[edges] = d
+        else:  # the pair from a lane's end to the next start adds -0.0 at 0, a no-op
+            votes[starts[1:] - 1] = 0.0
+            np.add.at(vote_diff, np.repeat(edges, 2)[1:-1], np.stack([votes, -votes], 1).ravel())
 
     return np.cumsum(vote_diff[:-1])
 

@@ -7,18 +7,19 @@ dynamic filter grows each window until the accumulated score magnitude would
 exceed a budget, so windows are narrow where the classifier is confident and
 wide where it is not.
 
-A partition is an array of edges ``e`` from ``e[0] = 0`` to ``e[-1] = n``:
-window ``j`` is the slice ``e[j]:e[j + 1]``, at least one index long, and its
-sum is a difference of ``prefix_sums``.  Labels, tuning and the DCA's votes
-all read window sums that way; the filters differ only in their edges.
-Static edges are every ``alpha``-th index.  Dynamic edges come from
-``budget_walk``, which ``dca`` shares: a window's end depends only on its
-start, so each budget's windows are a path from index 0.  A budget expecting
-many windows (total magnitude / budget) builds a successor table for all
-starts at once and walks it by pointer doubling, about log2(windows) array
-steps; one expecting few bisects the prefix sums window by window instead, so
-a coarse budget costs its windows, not the series length.  In the DCA a
-window closes on reaching its budget instead of staying within it.
+A partition (a lane) is an array of edges ``e`` from ``e[0] = 0`` to
+``e[-1] = n``: window ``j`` is the slice ``e[j]:e[j + 1]``, at least one index
+long, and its sum is a difference of ``prefix_sums``.  Lanes travel in batches
+of about n edges: their edges concatenated, and where each lane starts.
+Labels, tuning and the DCA's votes read a batch's window sums with one gather,
+skipping the pair that straddles two lanes.  Static edges are every
+``alpha``-th index.  Dynamic edges come from ``budget_walk``, which ``dca``
+shares: a window's end depends only on its start, so each budget's windows
+are a path from index 0.  A budget expecting many windows walks a successor
+table of all starts by pointer doubling, about log2(windows) array steps, as a
+batch of its own; one expecting few bisects the prefix sums window by window
+and shares a batch, so a coarse budget costs its windows, not the series
+length.  In the DCA a window closes on reaching its budget, not within it.
 
 Tuning is exhaustive minimization of the mean squared label error over a
 parameter grid, one lane of edges per value; ties go to the smallest.
@@ -96,8 +97,15 @@ def prefix_sums(values) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(values)])
 
 
-def _static_edges(n: int, alpha: int) -> np.ndarray:
-    return np.minimum(np.arange(0, n + alpha, alpha), n)
+def _static_batches(n: int, sizes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The lanes ``0, a, 2a, ...`` (clipped to n) of the widths in array
+    ``sizes``, in batches of about n edges: a new batch at every n-th edge."""
+    counts = (n - 1) // sizes + 2
+    cuts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // n)) + 1
+    for alphas, k in zip(np.split(sizes, cuts), np.split(counts, cuts)):
+        starts = np.cumsum(k) - k
+        steps = np.arange(starts[-1] + k[-1]) - np.repeat(starts, k)
+        yield np.minimum(np.repeat(alphas, k) * steps, n), starts
 
 
 def _window_labels(series: ScoreSeries, edges: np.ndarray) -> np.ndarray:
@@ -112,33 +120,39 @@ def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
         raise ValueError("score series is empty")
     if alpha < 1:
         raise ValueError(f"window size must be >= 1, got {alpha}")
-    return _window_labels(series, _static_edges(n, alpha))
+    return _window_labels(series, next(_static_batches(n, np.array([alpha])))[0])
 
 
-def _tune(kind, series: ScoreSeries, params, lanes: Iterable[np.ndarray]) -> TunedFilter:
-    """The parameter whose lane of edges mislabels fewest instances; ties go
-    to the first.  Lanes are consumed one at a time.  A -1 window gets its
-    positives wrong, a +1 window its negatives: all positives, plus per +1
-    window its width less twice its positives, a difference of ``q``.
-    ``4 * wrong / n`` is the mean squared label error."""
+def _lane_errors(series: ScoreSeries, lanes: int, batches: Iterable[tuple]) -> np.ndarray:
+    """Each lane's mean squared label error ``4 * wrong / n``, batches taken
+    in lane order one at a time.  A -1 window gets its positives wrong, a +1
+    window its negatives: all positives, plus per +1 window its width less twice
+    its positives, a difference of ``q``; integer terms, so sums are exact."""
     if len(series) == 0 or not np.all(np.abs(series.truths) == 1):
         raise ValueError("score series must be nonempty, with truth labels -1 or +1")
     cum = prefix_sums(series.scores)
     cum_pos = prefix_sums(series.truths > 0)
     q = np.arange(len(cum)) - 2 * cum_pos
-    wrong = np.full(len(params), cum_pos[-1])
-    for lane, edges in enumerate(lanes):
+    wrong, lane = np.full(lanes, cum_pos[-1]), 0
+    for edges, starts in batches:
         c, g = cum[edges], q[edges]
-        wrong[lane] += (g[1:] - g[:-1]) @ (c[1:] - c[:-1] >= 0)
-    errors = (4 * wrong) / len(series)
+        terms = (g[1:] - g[:-1]) * (c[1:] - c[:-1] >= 0)
+        terms[starts[1:] - 1] = 0.0  # the pair from one lane's end to the next one's start
+        wrong[lane : lane + len(starts)] += np.add.reduceat(terms, starts)
+        lane += len(starts)
+    return (4 * wrong) / len(series)
+
+
+def _tune(kind, series: ScoreSeries, params, batches: Iterable[tuple]) -> TunedFilter:
+    """The parameter whose lane mislabels fewest instances; ties go to the first."""
+    errors = _lane_errors(series, len(params), batches)
     best = int(np.argmin(errors))
     return TunedFilter(kind, float(params[best]), float(errors[best]))
 
 
 def tune_static(series: ScoreSeries, grid: WindowSizeGrid) -> TunedFilter:
     """Width in the grid minimizing training error; ties go to the smallest."""
-    n = len(series)
-    return _tune("static", series, grid.sizes, (_static_edges(n, a) for a in grid.sizes))
+    return _tune("static", series, grid.sizes, _static_batches(len(series), np.array(grid.sizes)))
 
 
 def budget_ladder(peak: float, m: int, lam: float) -> np.ndarray:
@@ -162,16 +176,16 @@ def make_threshold_grid(series: ScoreSeries, m: int, lam: float) -> ThresholdGri
     return ThresholdGrid(budgets, float(lam))
 
 
-# A bisect step costs about as much as 10 to 14 starts of a doubling lane (about
-# 0.6 us per window against 0.05 us per start, timed at n = 1,000 and 8,000).
-_BISECT_STEP_COST = 10
+# A batched bisect step costs about as much as 8 starts of a doubling lane, with
+# each lane's consumer (0.3-0.4 us per window, 0.04-0.06 us per start; n = 1,000, 8,000).
+_BISECT_STEP_COST = 8
 
 
 def budget_walk(
     cum_mag: np.ndarray, budgets: Iterable[float], side: Literal["left", "right"]
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield each budget's window edges over prefix sums of nonnegative
-    magnitudes, one lane per budget.
+    magnitudes: batches of lanes, in budget order.
 
     The window from ``start`` ends where ``cum_mag[start - 1] + budget`` (0.0
     before the first index) is met: at the last index at or below it for
@@ -182,23 +196,34 @@ def budget_walk(
 
     * many windows: ``searchsorted`` gives the successor table ``s`` of every
       start, and of start n, whose floor n + 1 clips to n; ``s`` jumping m
-      windows maps the first m edges to the next m, then ``s[s]`` jumps 2m;
+      windows maps the first m edges to the next m, then ``s[s]`` jumps 2m.
+      The lane is a batch of its own;
     * few windows (under n / ``_BISECT_STEP_COST``): each step bisects the
       prefix sums from ``start`` alone, so the lane costs its windows, not n.
+      Such lanes share a batch, yielded once it holds n edges or a table lane is next.
 
     Both compute the same float target and clip, so they give the same edges.
     Lanes are independent, so budgets may come in any order."""
     n = cum_mag.shape[0]
+    if n == 0:
+        raise ValueError("prefix sums are empty: a budget walk needs at least one index")
     before = np.concatenate([[0.0], cum_mag[:-1], [np.inf]])
     floor = np.arange(1, n + 2)
-    total = float(cum_mag[-1]) if n else 0.0
+    total = float(cum_mag[-1])
     cum = pre = None
+    edges, starts = [], []  # the sparse lanes' batch
     for budget in budgets:
         budget = float(budget)
-        if total * _BISECT_STEP_COST < n * budget:
+        sparse = total * _BISECT_STEP_COST < n * budget
+        if edges and (len(edges) >= n or not sparse):
+            yield np.array(edges, np.intp), np.array(starts, np.intp)
+            edges, starts = [], []
+        if sparse:
             if cum is None:
                 cum, pre = cum_mag.tolist(), before.tolist()
-            start, edges = 0, [0]
+            start = 0
+            starts.append(len(edges))
+            edges.append(0)
             # bisect's bounds carry the clip to [start + 1, n]
             if side == "right":
                 while start < n:
@@ -208,7 +233,6 @@ def budget_walk(
                 while start < n:
                     start = bisect_left(cum, pre[start] + budget, start, n - 1) + 1
                     edges.append(start)
-            yield np.fromiter(edges, np.intp, len(edges))
         else:
             succ = cum_mag.searchsorted(before + budget, side)
             succ += side == "left"
@@ -218,7 +242,10 @@ def budget_walk(
             path, jump, m = np.zeros(2 * n, np.intp), np.empty_like(succ), 1
             while succ.take(path[:m], out=path[m : 2 * m], mode="clip")[-1] < n:
                 succ, jump, m = succ.take(succ, out=jump, mode="clip"), succ, 2 * m
-            yield path[: path[: 2 * m].searchsorted(n) + 1]  # rises to n, then stays
+            # rises to n, then stays
+            yield path[: path[: 2 * m].searchsorted(n) + 1], np.zeros(1, np.intp)
+    if edges:
+        yield np.array(edges, np.intp), np.array(starts, np.intp)
 
 
 def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
@@ -227,7 +254,7 @@ def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
         raise ValueError("score series is empty")
     if not beta > 0:
         raise ValueError(f"threshold must be > 0, got {beta}")
-    edges = next(budget_walk(np.cumsum(np.abs(series.scores)), [float(beta)], "right"))
+    edges, _ = next(budget_walk(np.cumsum(np.abs(series.scores)), [float(beta)], "right"))
     return _window_labels(series, edges)
 
 

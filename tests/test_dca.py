@@ -25,7 +25,8 @@ from windowlab.windows import budget_walk
 
 def presentation_spans(cum_csm, lifespan):
     """One cell's (start, end) windows from the shared budget walk."""
-    (edges,) = budget_walk(cum_csm, np.array([lifespan]), "left")
+    ((edges, starts),) = budget_walk(cum_csm, np.array([lifespan]), "left")
+    (edges,) = np.split(edges, starts[1:])
     return list(zip(edges[:-1].tolist(), (edges[1:] - 1).tolist()))
 
 
@@ -225,6 +226,21 @@ class TestRunDca:
         danger[rng.random(n) < 0.2] = 0.0
         sig = signals_from(safe, danger)
         lifespans = init_lifespans(sig, 30, float(rng.choice([0.05, 1.0, 10.0])))
+        vote_sums = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
+        expected = oracles.dca_vote_sums(safe, danger, lifespans)
+        assert vote_sums.tobytes() == expected.tobytes()
+
+    def test_mixed_batches_keep_the_window_by_window_bytes(self):
+        """Table lanes (batches of one) and batches of sparse lanes in one
+        population: the vote sums are the window-by-window replay's bytes."""
+        rng = np.random.default_rng(31)
+        safe, danger = rng.uniform(0, 1, 200), rng.uniform(0, 1, 200)
+        safe[rng.random(200) < 0.2] = 0.0
+        sig = signals_from(safe, danger)
+        lifespans = init_lifespans(sig, 60, 100.0)
+        csm, _ = signal_transform(safe, danger)
+        batches = [len(s) for _, s in budget_walk(np.cumsum(csm), lifespans, "left")]
+        assert batches.count(1) >= 2 and sum(size > 1 for size in batches) >= 2
         vote_sums = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
         expected = oracles.dca_vote_sums(safe, danger, lifespans)
         assert vote_sums.tobytes() == expected.tobytes()

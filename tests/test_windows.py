@@ -80,9 +80,15 @@ def spans_of(edges):
     return list(zip(edges[:-1].tolist(), (edges[1:] - 1).tolist()))
 
 
+def walk_lanes(cum_mag, budgets, side):
+    """Every lane's edges from one multi-lane walk: its batches split at their lane starts."""
+    return [lane for edges, starts in budget_walk(cum_mag, budgets, side)
+            for lane in np.split(edges, starts[1:])]
+
+
 def lane_spans(cum_mag, budgets, side):
     """Every lane's (start, end) list from one multi-lane walk."""
-    return [spans_of(edges) for edges in budget_walk(cum_mag, budgets, side)]
+    return [spans_of(edges) for edges in walk_lanes(cum_mag, budgets, side)]
 
 
 def lane_chases(cum_mag, budgets, side):
@@ -98,8 +104,8 @@ def lane_chases(cum_mag, budgets, side):
     lanes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(windows, name, counted)
-        for edges in budget_walk(cum_mag, budgets, side):
-            lanes.append((spans_of(edges), bool(steps)))
+        for edges, starts in budget_walk(cum_mag, budgets, side):
+            lanes += [(spans_of(lane), bool(steps)) for lane in np.split(edges, starts[1:])]
             steps.clear()
     return lanes
 
@@ -247,6 +253,28 @@ class TestTuneStatic:
         assert tuned.training_error == pytest.approx(err_ref)
 
 
+    def test_every_width_matches_the_oracle_across_batches(self):
+        """A grid of 60 widths over 120 instances splits into batches of about
+        n edges; each width's lane and error equal the oracle's."""
+        rng = np.random.default_rng(41)
+        scores = rng.integers(-200, 121, 120) / 32.0  # grid scores: exact window sums
+        truths = rng.choice([-1, 1], 120)
+        # a pair straddling two lanes, from edge n back to 0, would count nonzero
+        assert scores.sum() < 0 and 2 * np.sum(truths > 0) != 120
+        sizes = tuple(range(1, 61))
+        batches = list(windows._static_batches(120, np.array(sizes)))
+        assert len(batches) >= 4
+        lanes = [lane for edges, starts in batches for lane in np.split(edges, starts[1:])]
+        assert [spans_of(lane) for lane in lanes] == [oracles.static_spans(120, a) for a in sizes]
+        errors = windows._lane_errors(make_series(scores, truths), len(sizes), batches)
+        expected = [
+            oracles.mean_square_label_error(oracles.static_labels(scores, a), truths) for a in sizes
+        ]
+        assert errors.tolist() == expected
+        tuned = tune_static(make_series(scores, truths), WindowSizeGrid(sizes))
+        assert (tuned.parameter, tuned.training_error) == oracles.tune_static(scores, truths, sizes)
+
+
 class TestNonFiniteScores:
     def test_threshold_grid_names_the_nan(self):
         # Without the check the NaN peak makes every threshold NaN: "must be positive".
@@ -316,7 +344,7 @@ class TestDynamicPartition:
     @settings(max_examples=80, deadline=None)
     def test_matches_greedy_oracle_and_invariants(self, scores, beta):
         absr = np.abs(np.asarray(scores))
-        (edges,) = budget_walk(np.cumsum(absr), [beta], "right")
+        (edges,) = walk_lanes(np.cumsum(absr), [beta], "right")
         assert edges[0] == 0 and edges[-1] == len(scores)
         assert np.all(np.diff(edges) > 0)  # a contiguous cover of nonempty windows
         spans = list(zip(edges[:-1].tolist(), (edges[1:] - 1).tolist()))
@@ -375,12 +403,35 @@ class TestBudgetWalk:
         cases += [(np.ones(m), 0.5, m) for m in (2**k - 1, 2**k, 2**k + 1)]
         for increments, budget, n_windows in cases:
             cum = np.cumsum(increments)
-            (edges,) = budget_walk(cum, [budget], side)
+            (edges,) = walk_lanes(cum, [budget], side)
             assert edges.dtype == np.intp and len(edges) == n_windows + 1
             assert np.all(np.diff(edges) > 0)
             ((spans, bisect),) = lane_chases(cum, [budget], side)
             assert not bisect
             assert spans == oracles.budget_spans(increments, budget, side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_sparse_lanes_batch_at_n_edges_and_before_a_table_lane(self, side):
+        """Sparse lanes holding more than n edges in all, a table lane, then
+        sparse lanes again, in no sorted order: each lane equals its oracle,
+        in budget order; the buffer closes at n edges and before the table lane."""
+        increments = np.full(100, 2.0)
+        sparse = [CROSSOVER_BUDGET * (4.0 - 0.1 * j) for j in range(30)]
+        budgets = sparse + [CROSSOVER_BUDGET / 4] + sparse[:5]
+        expected = [oracles.budget_spans(increments, b, side) for b in budgets]
+        assert sum(len(spans) + 1 for spans in expected[:30]) > len(increments)
+        lanes = lane_chases(np.cumsum(increments), budgets, side)
+        assert lanes == [(spans, b != budgets[30]) for spans, b in zip(expected, budgets)]
+        batches = [(len(e), len(s)) for e, s in budget_walk(np.cumsum(increments), budgets, side)]
+        lanes_before = np.cumsum([0] + [lanes_in for _, lanes_in in batches]).tolist()
+        table = lanes_before.index(30)  # the first batch after lane 30: the table lane
+        assert batches[table][1] == 1 and table >= 2  # the first n edges closed a batch
+        assert batches[0][0] >= len(increments) and batches[0][1] > 1
+        assert max(size for size, _ in batches) < len(increments) + max(map(len, expected)) + 1
+
+    def test_empty_prefix_sums_are_named(self):
+        with pytest.raises(ValueError, match="prefix sums are empty"):
+            next(budget_walk(np.empty(0), [1.0], "right"))
 
     def test_right_stays_within_budget_left_reaches_it(self):
         cum = np.cumsum([0.5, 0.5, 0.5, 0.5, 0.5])
