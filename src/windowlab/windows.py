@@ -99,7 +99,7 @@ def prefix_sums(values) -> np.ndarray:
 
 def _static_batches(n: int, sizes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The lanes ``0, a, 2a, ...`` (clipped to n) of the widths in array
-    ``sizes``, in batches of about n edges: a new batch at every n-th edge."""
+    ``sizes``, in batches of about n edges: each multiple of n opens one."""
     counts = (n - 1) // sizes + 2
     cuts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // n)) + 1
     for alphas, k in zip(np.split(sizes, cuts), np.split(counts, cuts)):

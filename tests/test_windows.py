@@ -252,7 +252,6 @@ class TestTuneStatic:
         assert tuned.parameter == alpha_ref
         assert tuned.training_error == pytest.approx(err_ref)
 
-
     def test_every_width_matches_the_oracle_across_batches(self):
         """A grid of 60 widths over 120 instances splits into batches of about
         n edges; each width's lane and error equal the oracle's."""
