@@ -215,9 +215,9 @@ def budget_walk(
     for budget in budgets:
         budget = float(budget)
         sparse = total * _BISECT_STEP_COST < n * budget
-        if edges and (len(edges) >= n or not sparse):
-            yield np.array(edges, np.intp), np.array(starts, np.intp)
-            edges, starts = [], []
+        if edges and (len(edges) >= n or not sparse):  # lists freed before the consumer runs
+            batch, edges, starts = (np.array(edges, np.intp), np.array(starts, np.intp)), [], []
+            yield batch
         if sparse:
             if cum is None:
                 cum, pre = cum_mag.tolist(), before.tolist()
@@ -245,7 +245,8 @@ def budget_walk(
             # rises to n, then stays
             yield path[: path[: 2 * m].searchsorted(n) + 1], np.zeros(1, np.intp)
     if edges:
-        yield np.array(edges, np.intp), np.array(starts, np.intp)
+        batch, edges, starts = (np.array(edges, np.intp), np.array(starts, np.intp)), [], []
+        yield batch
 
 
 def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
