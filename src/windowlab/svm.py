@@ -10,8 +10,8 @@ two-variable subproblem is solved analytically).  Pair selection follows the
 gradient-based rule: the most violating index from the "can increase" set is
 paired with the most violating index from the "can decrease" set; numpy's
 argmax/argmin resolve ties toward the lowest index, which makes training
-deterministic for a fixed instance order.  Each set is a penalty vector (0 in,
--inf/+inf out) added to the candidate biases, which updates edit in place.
+deterministic for a fixed instance order.  Each set is a vector of candidate
+biases (-inf/+inf outside it), which updates edit in place.
 
 Scores downstream are the signed perpendicular distance to the learned
 hyperplane, ``(<w, x> + b) / ||w||``, so they are invariant to a positive
@@ -86,7 +86,7 @@ def train(
     ``ConvergenceError`` if the violation gap has not closed within
     ``max_pair_updates`` two-variable steps, stops being finite, or stalls (no
     new minimum in 10 steps per instance, at least 10,000: pairs can zig-zag).
-    A +inf or NaN candidate bias stops it even outside a set: plus the penalty it is NaN.
+    A NaN candidate bias, or +inf (-inf) in the "can increase" ("decrease") set, stops it.
     """
     if len(series) == 0:
         raise ValueError("training set is empty")
@@ -94,25 +94,22 @@ def train(
         raise ValueError(f"C must be > 0, got {C}")
     X = series.features
     y = series.labels.astype(float)
-    if np.unique(series.labels).size < 2:
+    if y.min() == y.max():  # labels are +-1, so this is the one-class case
         raise ValueError("training set must contain both classes")
 
     n = len(series)
     alphas = np.zeros(n)
     sq_norms = np.einsum("ij,ij->i", X, X)
-    crit = y.copy()  # candidate bias, -y * gradient of 1/2 a'Qa - 1'a
-    # 0 where y * alpha may rise (fall), -inf (+inf) where not; alphas start at 0.
-    up_pen = np.where(y > 0, 0.0, -np.inf)
-    low_pen = np.where(y > 0, np.inf, 0.0)
-    up, low, col_i, col_j = (np.empty(n) for _ in range(4))
+    # Candidate bias (-y * gradient of 1/2 a'Qa - 1'a) where y * alpha may rise
+    # (fall), -inf (+inf) where not; alphas start at 0 and the bias at y.
+    up, low = np.where(y > 0, y, -np.inf), np.where(y > 0, np.inf, y)
+    col_i, col_j = np.empty(n), np.empty(n)
     gap = best_gap = np.inf
     best_at, patience = 0, 10 * max(n, 1_000)  # 20x a benchmark split's longest stall
 
     for update in range(max_pair_updates):
-        np.add(crit, up_pen, out=up)
-        np.add(crit, low_pen, out=low)
-        i = int(np.argmax(up))
-        j = int(np.argmin(low))
+        i = int(up.argmax())
+        j = int(low.argmin())
         gap = up[i] - low[j]
         if not -np.inf < gap < np.inf:  # overflow, which would pass as converged
             raise ConvergenceError(f"violation gap is {gap} at pair update {update}")
@@ -131,17 +128,20 @@ def train(
         t = min(t, room_i, room_j)
         alphas[i] += y[i] * t
         alphas[j] -= y[j] * t
-        # y = +-1, so -y * (grad + y * delta) == crit - delta bit for bit.
+        # y = +-1, so -y * (grad + y * delta) == bias - delta bit for bit; +-inf stays.
         np.matmul(X, X[i], out=col_i)
         np.matmul(X, X[j], out=col_j)
         col_i -= col_j
         col_i *= t
-        crit -= col_i
-        for k in (i, j):
+        up -= col_i
+        low -= col_i
+        # The gap was finite, so i is in the up set and j in the low set (a test
+        # by value before the subtraction agrees); read their biases from those.
+        for k, bias in ((i, up[i]), (j, low[j])):
             a = alphas[k]
             may_up, may_down = (a < C, a > 0) if y[k] > 0 else (a > 0, a < C)
-            up_pen[k] = 0.0 if may_up else -np.inf
-            low_pen[k] = 0.0 if may_down else np.inf
+            up[k] = bias if may_up else -np.inf
+            low[k] = bias if may_down else np.inf
     else:
         raise ConvergenceError(
             f"no convergence within {max_pair_updates} pair updates (gap {gap:.3e})"
@@ -149,9 +149,9 @@ def train(
 
     # Unbounded support vectors, in both sets, pin the bias exactly; average
     # them for stability.  Without any, take the midpoint of the final pair's
-    # candidate biases: up[i] and low[j] are the extremes of crit over each set.
-    free = (up_pen == 0.0) & (low_pen == 0.0)
-    b = crit[free].mean() if free.any() else (up[i] + low[j]) / 2.0
+    # candidate biases: up[i] and low[j] are the extremes over each set.
+    free = up == low  # in both sets: a finite gap leaves no +inf in up, -inf in low
+    b = up[free].mean() if free.any() else (up[i] + low[j]) / 2.0
     np.clip(alphas, 0.0, C, out=alphas)
     w = X.T @ (alphas * y)
     return LinearModel(

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,18 @@ class TestTrainBasics:
         with pytest.raises(ConvergenceError, match="violation gap is -?(nan|inf) at pair update"):
             train(InstanceSeries(feats, ds.train.labels), C=1.0)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_split_fails_like_the_oracle(self):
+        # The kernel overflows, so the first update takes i's bias to -inf inside
+        # the "can increase" set: a test by value after the subtraction would
+        # read i from the other vector, inf - inf, and fail with a NaN gap.
+        feats = [(-1e155, 1e155), (-1e155, -1e155)]
+        with pytest.raises(RuntimeError) as ref:
+            smo_train(np.array(feats), np.array([-1, 1]), 1.0)
+        with pytest.raises(ConvergenceError) as err:
+            train(series(feats, [-1, 1]), C=1.0)
+        assert str(err.value) == str(ref.value) == "violation gap is inf at pair update 1"
 
 
 class TestDualConstraints:
@@ -349,3 +362,17 @@ def test_train_rejects_nan_feature_fast():
         train(InstanceSeries(feats, ds.train.labels), C=1.0)
     assert time.perf_counter() - start < 1.0
 
+
+
+def test_solver_memory_is_under_ten_vectors():
+    # The long-series workload's heaviest split (n = 8,000): np.unique's hash
+    # path alone once peaked near 19 n-vectors; the solver keeps 7 and a mask.
+    cfg = ExperimentConfig(seed=20260808, n_datasets=40, n_train=8000, n_test=8000)
+    train_split = generate_benchmark_suite(40, cfg.base_generator_config(), cfg.seed)[2].train
+    tracemalloc.start()
+    try:
+        train(train_split, C=cfg.svm_c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * len(train_split)
