@@ -363,10 +363,9 @@ def test_train_rejects_nan_feature_fast():
     assert time.perf_counter() - start < 1.0
 
 
-
 def test_solver_memory_is_under_ten_vectors():
-    # The long-series workload's heaviest split (n = 8,000): np.unique's hash
-    # path alone once peaked near 19 n-vectors; the solver keeps 7 and a mask.
+    # The long-series workload's heaviest split (n = 8,000). The solver needs 7
+    # n-vectors and a mask; a hashed np.unique of the labels would take about 19.
     cfg = ExperimentConfig(seed=20260808, n_datasets=40, n_train=8000, n_test=8000)
     train_split = generate_benchmark_suite(40, cfg.base_generator_config(), cfg.seed)[2].train
     tracemalloc.start()
