@@ -11,7 +11,8 @@ gradient-based rule: the most violating index from the "can increase" set is
 paired with the most violating index from the "can decrease" set; numpy's
 argmax/argmin resolve ties toward the lowest index, which makes training
 deterministic for a fixed instance order.  Each set is a vector of candidate
-biases (-inf/+inf outside it), which updates edit in place.
+biases (-inf/+inf outside it), which updates edit in place.  An update's pair
+scalars (gap, step, the two alphas) are Python floats, which round as numpy's.
 
 Scores downstream are the signed perpendicular distance to the learned
 hyperplane, ``(<w, x> + b) / ||w||``, so they are invariant to a positive
@@ -104,14 +105,22 @@ def train(
     # (fall), -inf (+inf) where not; alphas start at 0 and the bias at y.
     up, low = np.where(y > 0, y, -np.inf), np.where(y > 0, np.inf, y)
     col_i, col_j = np.empty(n), np.empty(n)
-    gap = best_gap = np.inf
+    y_at, alpha_at, sq_norm_at = y.item, alphas.item, sq_norms.item
+    up_at, low_at, up_argmax, low_argmin = up.item, low.item, up.argmax, low.argmin
+    gap = best_gap = inf = np.inf
+    C = float(C)
     best_at, patience = 0, 10 * max(n, 1_000)  # 20x a benchmark split's longest stall
 
     for update in range(max_pair_updates):
-        i = int(up.argmax())
-        j = int(low.argmin())
-        gap = up[i] - low[j]
-        if not -np.inf < gap < np.inf:  # overflow, which would pass as converged
+        i = int(up_argmax())
+        j = int(low_argmin())
+        gap = up_at(i) - low_at(j)
+        if gap != gap:  # an overflowed column can leave NaN outside a set (-inf - -inf)
+            up[~np.where(y > 0, alphas < C, alphas > 0)] = -inf
+            low[~np.where(y > 0, alphas > 0, alphas < C)] = inf
+            i, j = int(up_argmax()), int(low_argmin())
+            gap = up_at(i) - low_at(j)
+        if not -inf < gap < inf:  # overflow, which would pass as converged
             raise ConvergenceError(f"violation gap is {gap} at pair update {update}")
         if gap <= tol:
             break
@@ -121,27 +130,29 @@ def train(
             raise ConvergenceError(f"gap stalled at pair update {update}: no new minimum "
                                    f"since update {best_at} (best gap {best_gap:.3e})")
         # Move t along (+y_i e_i, -y_j e_j), which preserves sum(y a).
-        eta = sq_norms[i] + sq_norms[j] - 2.0 * float(X[i] @ X[j])
-        t = gap / eta if eta > 1e-12 else np.inf
-        room_i = C - alphas[i] if y[i] > 0 else alphas[i]
-        room_j = alphas[j] if y[j] > 0 else C - alphas[j]
-        t = min(t, room_i, room_j)
-        alphas[i] += y[i] * t
-        alphas[j] -= y[j] * t
-        # y = +-1, so -y * (grad + y * delta) == bias - delta bit for bit; +-inf stays.
-        np.matmul(X, X[i], out=col_i)
-        np.matmul(X, X[j], out=col_j)
+        xi, yi, ai = X[i], y_at(i), alpha_at(i)
+        xj, yj, aj = X[j], y_at(j), alpha_at(j)
+        eta = sq_norm_at(i) + sq_norm_at(j) - 2.0 * xi.dot(xj).item()
+        t = gap / eta if eta > 1e-12 else inf
+        t = min(t, C - ai if yi > 0 else ai, aj if yj > 0 else C - aj)
+        alphas[i] = ai = ai + yi * t
+        alphas[j] = aj = aj - yj * t
+        # y = +-1, so -y * (grad + y * delta) == bias - delta bit for bit.
+        np.matmul(X, xi, out=col_i)
+        np.matmul(X, xj, out=col_j)
         col_i -= col_j
         col_i *= t
         up -= col_i
         low -= col_i
         # The gap was finite, so i is in the up set and j in the low set (a test
         # by value before the subtraction agrees); read their biases from those.
-        for k, bias in ((i, up[i]), (j, low[j])):
-            a = alphas[k]
-            may_up, may_down = (a < C, a > 0) if y[k] > 0 else (a > 0, a < C)
-            up[k] = bias if may_up else -np.inf
-            low[k] = bias if may_down else np.inf
+        # It exceeded tol >= 0, so i != j: an index in both sets has one bias.
+        bias = up_at(i)
+        up[i] = bias if (ai < C if yi > 0 else ai > 0) else -inf
+        low[i] = bias if (ai > 0 if yi > 0 else ai < C) else inf
+        bias = low_at(j)
+        up[j] = bias if (aj < C if yj > 0 else aj > 0) else -inf
+        low[j] = bias if (aj > 0 if yj > 0 else aj < C) else inf
     else:
         raise ConvergenceError(
             f"no convergence within {max_pair_updates} pair updates (gap {gap:.3e})"
@@ -153,10 +164,8 @@ def train(
     free = up == low  # in both sets: a finite gap leaves no +inf in up, -inf in low
     b = up[free].mean() if free.any() else (up[i] + low[j]) / 2.0
     np.clip(alphas, 0.0, C, out=alphas)
-    w = X.T @ (alphas * y)
-    return LinearModel(
-        w=w, b=float(b), alphas=alphas, C=float(C), pair_updates=update, gap=float(gap)
-    )
+    w = X.T @ np.multiply(alphas, y, out=col_i)
+    return LinearModel(w=w, b=float(b), alphas=alphas, C=C, pair_updates=update, gap=gap)
 
 
 def dual_objective(model: LinearModel, series: InstanceSeries) -> float:
