@@ -17,7 +17,8 @@ skipping the pair that straddles two lanes.  Static edges are every
 shares: a window's end depends only on its start, so each budget's windows
 are a path from index 0.  A budget expecting many windows walks a successor
 table of all starts by pointer doubling, about log2(windows) array steps, as a
-batch of its own; one expecting few bisects the prefix sums window by window
+batch of its own; the next one, if a small step up, re-searches only the ends
+that step passed.  One expecting few bisects the prefix sums window by window
 and shares a batch, so a coarse budget costs its windows, not the series
 length.  In the DCA a window closes on reaching its budget, not within it.
 
@@ -197,7 +198,10 @@ def budget_walk(
     * many windows: ``searchsorted`` gives the successor table ``s`` of every
       start, and of start n, whose floor n + 1 clips to n; ``s`` jumping m
       windows maps the first m edges to the next m, then ``s[s]`` jumps 2m.
-      The lane is a batch of its own;
+      The lane is a batch of its own.  Ends only move forward as the budget
+      grows, so ``s`` is kept, and a step under the mean magnitude re-searches
+      only ends that now meet their target: ``cum_mag[end] <= target`` right,
+      ``before[end] < target`` left.  Other steps rebuild ``s``;
     * few windows (under n / ``_BISECT_STEP_COST``): each step bisects the
       prefix sums from ``start`` alone, so the lane costs its windows, not n.
       Such lanes share a batch, yielded once it holds n edges or a table lane is next.
@@ -211,6 +215,8 @@ def budget_walk(
     floor = np.arange(1, n + 2)
     total = float(cum_mag[-1])
     cum = pre = None
+    stop, passed = (cum_mag, np.less_equal) if side == "right" else (before, np.less)
+    target, last = np.empty(n + 1), np.inf  # the kept table's targets and budget
     edges, starts = [], []  # the sparse lanes' batch
     for budget in budgets:
         budget = float(budget)
@@ -234,12 +240,19 @@ def budget_walk(
                     start = bisect_left(cum, pre[start] + budget, start, n - 1) + 1
                     edges.append(start)
         else:
-            succ = cum_mag.searchsorted(before + budget, side)
-            succ += side == "left"
-            np.maximum(succ, floor, out=succ)
-            np.minimum(succ, n, out=succ)
+            np.add(before, budget, out=target)
+            if 0 <= budget - last < total / n:  # ends move forward: re-search those passed
+                moved = np.flatnonzero(passed(stop.take(table[:n], mode="clip"), target[:n]))
+                ends = cum_mag.searchsorted(target[moved], side) + (side == "left")
+                table[moved] = np.minimum(ends, n)
+            else:
+                table = cum_mag.searchsorted(target, side)
+                table += side == "left"
+                np.maximum(table, floor, out=table)
+                np.minimum(table, n, out=table)
+            last = budget
             # m <= windows <= n, so indices stay in range; clip mode skips take's copy of out
-            path, jump, m = np.zeros(2 * n, np.intp), np.empty_like(succ), 1
+            path, succ, jump, m = np.zeros(2 * n, np.intp), table.copy(), np.empty_like(table), 1
             while succ.take(path[:m], out=path[m : 2 * m], mode="clip")[-1] < n:
                 succ, jump, m = succ.take(succ, out=jump, mode="clip"), succ, 2 * m
             # rises to n, then stays
