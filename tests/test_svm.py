@@ -282,6 +282,16 @@ class TestInPlaceSolverParity:
         # -inf - -inf (or +inf - +inf) gives NaN; the oracle's masks never read it.
         self.assert_same_outcome(feats, labels, 1.0)
 
+    @pytest.mark.parametrize("feats, labels", [
+        ([(0.4, -0.6), (-1.1, 1.1), (-1.1, -1.8)], [-1, 1, -1]),
+        ([(-2.6, 0.4), (-0.6, -0.5), (-0.2, -2.0), (-0.2, -0.9)], [-1, 1, -1, 1]),
+    ])
+    def test_eta_takes_the_pair_dot_not_the_kernel_row(self, feats, labels):
+        # Non-integer features on which X[i] @ X[j] (a dot) and the gemv row
+        # (X @ X[i])[j] round apart for a selected pair: an eta read from the
+        # kernel column moves the model's bytes.
+        self.assert_same_outcome(feats, labels, 1.0)
+
     def test_heaviest_long_series_split(self):
         # The long-series benchmark workload's slowest training split (4,477
         # pair updates); the suite size sets the class means, so build all 40.
