@@ -111,6 +111,22 @@ def lane_chases(cum_mag, budgets, side):
 
 
 @st.composite
+def ladder_cases(draw):
+    """Increments on a 1/32 grid, zeros included, and a lambda = 1 ladder
+    ``peak * l / m`` of m = 10..100 budgets: over the largest increment, as
+    the package builds it, or over a peak that puts every budget on the grid,
+    so targets often equal a prefix sum exactly."""
+    steps = st.one_of(st.just(0), st.integers(min_value=1, max_value=96))
+    increments = np.array(draw(st.lists(steps, min_size=1, max_size=150))) / 32.0
+    assume(increments.any())
+    m = draw(st.integers(min_value=10, max_value=100))
+    if draw(st.booleans()):
+        return increments, windows.budget_ladder(float(increments.max()), m, 1.0)
+    peak = m * draw(st.integers(min_value=1, max_value=32)) / 32.0
+    return increments, peak * np.arange(1, m + 1) / m
+
+
+@st.composite
 def tuning_cases(draw):
     """Grid scores with +-1 truths and strictly increasing budgets on a 1/64
     grid, so every window total is exact; neighbouring budgets often give the
@@ -443,6 +459,78 @@ class TestBudgetWalk:
             [(0, 1), (2, 3), (4, 4)],
             [(0, 1), (2, 3), (4, 4)],
         ]
+
+
+# 120 grid increments with zeros: mean 0.078, so lambda = 1 ladders over the
+# peak 0.25 step 0.0025 and stay dense (under the crossover 0.625).
+GRID_INCREMENTS = np.array([0, 3, 1, 0, 0, 5, 2, 8, 1, 0, 4, 6] * 10) / 32.0
+GRID_LADDER = windows.budget_ladder(0.25, 100, 1.0)
+# One index of 64 lifts the mean to 0.61: a lambda = 1 step of 0.64 exceeds it.
+SPIKED = np.where(np.arange(120) == 57, 64.0, GRID_INCREMENTS)
+
+
+class SearchLog(np.ndarray):
+    """Prefix sums that log how many targets each ``searchsorted`` call takes."""
+
+    def searchsorted(self, v, side="left", sorter=None):
+        self.log.append(np.size(v))
+        return np.asarray(self).searchsorted(v, side, sorter)
+
+
+class TestTableReuse:
+    """A table lane whose budget is a small step above the last table lane's
+    re-searches only the ends that step passed; edges equal the oracle's."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @given(ladder_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_every_ladder_lane_matches_one_lane_oracle(self, side, case):
+        increments, budgets = case
+        expected = [oracles.budget_spans(increments, b, side) for b in budgets]
+        assert lane_spans(np.cumsum(increments), budgets, side) == expected
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "increments, budgets",
+        [
+            (GRID_INCREMENTS, GRID_LADDER),
+            # ends in 3/32 then 0: near the end a step's targets pass the total
+            (GRID_INCREMENTS[::-1], GRID_LADDER),
+            (GRID_INCREMENTS, GRID_LADDER[::-1]),  # every step goes down
+            (GRID_INCREMENTS, np.repeat(GRID_LADDER, 2)),  # steps of zero
+            (SPIKED, windows.budget_ladder(64.0, 100, 1.0)),
+            # sparse lanes (above 0.625) between table lanes keep the table
+            (GRID_INCREMENTS, np.insert(GRID_LADDER, range(0, 100, 7), 2.5)),
+            # budgets the prefix sums absorb: ends stay on the one-index floor
+            (GRID_INCREMENTS, 1e-17 * np.arange(1, 11)),
+        ],
+    )
+    def test_fixed_ladders_match_oracle(self, side, increments, budgets):
+        expected = [oracles.budget_spans(increments, b, side) for b in budgets]
+        assert lane_spans(np.cumsum(increments), budgets, side) == expected
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "increments, budgets, rebuilds",
+        [
+            (GRID_INCREMENTS, GRID_LADDER, 1),
+            (GRID_INCREMENTS, GRID_LADDER[::-1], 100),
+            # lambda = 100: each step is the peak, at least the mean
+            (GRID_INCREMENTS, windows.budget_ladder(0.25, 100, 100.0)[:2], 2),
+            (SPIKED, windows.budget_ladder(64.0, 100, 1.0)[:7], 7),
+        ],
+    )
+    def test_small_steps_reuse_the_table_and_others_rebuild(
+        self, side, increments, budgets, rebuilds
+    ):
+        cum = np.cumsum(increments).view(SearchLog)
+        cum.log = []
+        for _ in budget_walk(cum, budgets, side):
+            pass
+        full = len(increments) + 1
+        assert len(cum.log) == len(budgets)  # every lane a table lane
+        assert cum.log[0] == full
+        assert sum(size == full for size in cum.log) == rebuilds
 
 
 class TestDynamicLabel:
