@@ -216,7 +216,7 @@ def budget_walk(
     total = float(cum_mag[-1])
     cum = pre = None
     stop, passed = (cum_mag, np.less_equal) if side == "right" else (before, np.less)
-    target, last = np.empty(n + 1), np.inf  # the kept table's targets and budget
+    target, last = np.empty(n + 1), np.inf  # the kept table's targets and budget, inf for none
     edges, starts = [], []  # the sparse lanes' batch
     for budget in budgets:
         budget = float(budget)
