@@ -98,7 +98,7 @@ class InstanceSeries:
     """
 
     features: np.ndarray  # (n, d) float
-    labels: np.ndarray  # (n,) values in {-1, +1}
+    labels: np.ndarray  # (n,) int8 values in {-1, +1}
 
     def __post_init__(self) -> None:
         feats = read_only(self.features, float)
@@ -111,7 +111,7 @@ class InstanceSeries:
         if labs.size and not np.all(np.isin(labs, (-1, 1))):
             raise ValueError("labels must be -1 or +1")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", read_only(labs, int))
+        object.__setattr__(self, "labels", read_only(labs, np.int8))
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ class TestBenchmarkSuite:
         slack = 3 * 0.1 * math.sqrt(2 / 200)
         assert all(b - a > -slack for a, b in zip(dists, dists[1:]))
 
+    def test_memory_is_two_float_features_and_a_byte_label_per_instance(self):
+        # 17 B per instance are held; the slack covers one 8,000-row split's
+        # temporaries (about 400 KB).  int64 labels would hold 24 B.
+        base = small_config(n_train=8000, n_test=8000)
+        generate_benchmark_suite(2, small_config(n_train=8, n_test=8), seed=5)  # warm caches
+        tracemalloc.start()
+        try:
+            suite = generate_benchmark_suite(4, base, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        instances = sum(len(ds.train) + len(ds.test) for ds in suite)
+        assert instances == 64_000
+        assert peak < 18 * instances + 512 * 1024
+
 
 class TestCentroidDistance:
     def test_identical_distributions_near_zero(self):
@@ -157,6 +173,19 @@ class TestInstanceSeries:
         feats[2, 1] = bad
         with pytest.raises(ValueError, match=rf"feature f2 is {bad} at time index 3"):
             InstanceSeries(feats, np.array([-1, -1, 1, 1]))
+
+    def test_labels_are_read_only_bytes(self):
+        series = generate_dataset(small_config(n_train=8, n_test=8)).train
+        assert series.labels.dtype == np.int8
+        assert not series.labels.flags.writeable
+        assert series.labels.tolist() == quarter_labels(8).tolist()
+
+    @pytest.mark.parametrize("bad", [255, 257, -255, -257])
+    def test_rejects_labels_that_wrap_to_a_valid_byte(self, bad):
+        # Cast to int8 first, each of these would read as -1 or +1.
+        assert np.array([bad]).astype(np.int8)[0] in (-1, 1)
+        with pytest.raises(ValueError, match=r"labels must be -1 or \+1"):
+            InstanceSeries(np.zeros((2, 2)), np.array([-1, bad]))
 
     def test_in_place_nan_write_rejected(self):
         # A writeable block would let this NaN past the constructor's check:
