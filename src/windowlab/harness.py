@@ -271,7 +271,8 @@ def run_experiment_detailed(
     suite = generate_benchmark_suite(
         config.n_datasets, config.base_generator_config(), config.seed
     )
-    details = [_run_dataset(index, dataset, config) for index, dataset in enumerate(suite)]
+    # Popping each dataset frees its splits as soon as its rows exist.
+    details = [_run_dataset(index, suite.pop(0), config) for index in range(len(suite))]
     rows = tuple(row for per_method in details for row in per_method.values())
     return ResultsTable(rows), details
 

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -157,6 +158,29 @@ class TestRunExperiment:
         assert len(details) == 2
         for per_method in details:
             assert per_method[Method.LNC].model is not None
+
+    def test_each_dataset_is_freed_before_the_next_model_trains(self, monkeypatch):
+        from windowlab import harness as hmod
+
+        splits, models, freed = [], [], []
+        generate, train = hmod.generate_benchmark_suite, svm.train
+
+        def tracked_suite(*args):
+            suite = generate(*args)
+            splits.extend((weakref.ref(ds.train), weakref.ref(ds.test)) for ds in suite)
+            return suite
+
+        def tracked_train(series, **kwargs):
+            k = next(k for k, (ref, _) in enumerate(splits) if ref() is series)
+            freed.append(k == 0 or all(ref() is None for ref in splits[k - 1]))
+            models.append(train(series, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(hmod, "generate_benchmark_suite", tracked_suite)
+        monkeypatch.setattr(hmod.svm_mod, "train", tracked_train)
+        _, details = run_experiment_detailed(ExperimentConfig(seed=5, n_datasets=3, **SMALL))
+        assert freed == [True, True, True]
+        assert [d[Method.LNC].model for d in details] == models
 
     def test_method_failure_names_method_and_dataset(self, monkeypatch):
         cfg = ExperimentConfig(seed=5, n_datasets=2, methods=(Method.DCA1,), **SMALL)
