@@ -48,14 +48,16 @@ def sliding_window_output(values, width: int) -> np.ndarray:
 
 def _gains(width: int, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both filters' complex gains at each of ``omegas``, by the formulas
-    below; the present-every-W filter's W^2 terms go about 4,096 at a time."""
+    below, for about 1,024 / W^2 frequencies at a time."""
     if width < 1:
         raise ValueError(f"window width must be >= 1, got {width}")
-    g, rows = np.arange(width), max(1, 4096 // width**2)
-    shifted = omegas[:, None] + 2.0 * np.pi * g
-    dc = [np.exp(-1j * (g[:, None] * block[:, None, :])).reshape(len(block), -1).sum(axis=1)
-          for block in np.split(shifted, np.arange(rows, len(omegas), rows))]
-    return np.exp(-1j * g * omegas[:, None]).sum(axis=1) / width, np.concatenate(dc) / width**2
+    g, rows = np.arange(width), max(1, 1024 // width**2)
+    sliding, dc = [], []
+    for block in np.split(omegas, np.arange(rows, len(omegas), rows)):
+        sliding.append(np.exp(-1j * g * block[:, None]).sum(axis=1))
+        shifted = block[:, None, None] + 2.0 * np.pi * g
+        dc.append(np.exp(-1j * (g[:, None] * shifted)).reshape(len(block), -1).sum(axis=1))
+    return np.concatenate(sliding) / width, np.concatenate(dc) / width**2
 
 
 def sliding_window_gain(width: int, omega: float) -> FrequencyResponse:

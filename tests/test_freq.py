@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,18 @@ class TestGainSweep:
     def test_rejects_short_sweep(self, tmp_path):
         with pytest.raises(ValueError):
             write_gain_sweeps(tmp_path / "gains.csv", widths=(3,), n_points=1)
+
+    def test_default_sweep_memory_is_blocked(self, tmp_path):
+        # Both halves go about 1,024 / W^2 frequencies at a time; the
+        # sliding-average half in one unblocked array took the peak to 287 KB.
+        write_gain_sweeps(tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            write_gain_sweeps(tmp_path / "gains.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 1024
 
     def test_csv_output(self, tmp_path):
         path = write_gain_sweeps(tmp_path / "gains.csv", widths=(2, 4), n_points=5)
