@@ -138,8 +138,8 @@ class TestGainSweep:
             write_gain_sweeps(tmp_path / "gains.csv", widths=(3,), n_points=1)
 
     def test_default_sweep_memory_is_blocked(self, tmp_path):
-        # Both halves go about 1,024 / W^2 frequencies at a time; the
-        # sliding-average half in one unblocked array took the peak to 287 KB.
+        # Both halves go about 1,024 / W^2 frequencies at a time, so no
+        # width's whole sweep is ever held as one array of terms.
         write_gain_sweeps(tmp_path / "warm.csv")
         tracemalloc.start()
         try:
