@@ -25,21 +25,22 @@ from .freq import write_gain_sweeps
 from .harness import ALL_METHODS, ExperimentConfig, Method
 
 _CONFIG = ExperimentConfig(seed=1)
-_DEFAULTS = {
-    "seed": _CONFIG.seed,
-    "datasets": _CONFIG.n_datasets,
-    "out": "out",
-    "methods": ",".join(str(m) for m in _CONFIG.methods),
-    "lambda": f"{_CONFIG.lambda_low},{_CONFIG.lambda_high}",
-    "name": "suite",
-    "svm_c": _CONFIG.svm_c,
-    "window_grid": _CONFIG.window_grid,
-    "threshold_grid": _CONFIG.threshold_grid,
-    "n_train": _CONFIG.n_train,
-    "n_test": _CONFIG.n_test,
+#: Each setting's default and help text.  Its flag is ``--`` plus the key with
+#: ``-`` for ``_``; the default's type casts the flag's and the file's values.
+_SETTINGS = {
+    "seed": (_CONFIG.seed, "suite seed"),
+    "datasets": (_CONFIG.n_datasets, "number of datasets in the suite"),
+    "out": ("out", "output directory"),
+    "methods": (",".join(map(str, _CONFIG.methods)), "comma-separated method list"),
+    "lambda": (f"{_CONFIG.lambda_low},{_CONFIG.lambda_high}",
+               "scale factors LOW[,HIGH] for the *1/*2 parameterizations"),
+    "name": ("suite", "suite name used in dataset file names"),
+    "svm_c": (_CONFIG.svm_c, "SVM regularization bound"),
+    "window_grid": (_CONFIG.window_grid, "|A|"),
+    "threshold_grid": (_CONFIG.threshold_grid, "|B|"),
+    "n_train": (_CONFIG.n_train, "training instances"),
+    "n_test": (_CONFIG.n_test, "test instances"),
 }
-
-_CASTS = {key: type(value) for key, value in _DEFAULTS.items()}
 
 
 def _read_config_file(path: str) -> dict:
@@ -52,9 +53,9 @@ def _read_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CASTS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        cast, value = _CASTS[key], value.strip()
+        cast, value = type(_SETTINGS[key][0]), value.strip()
         try:
             values[key] = cast(value)
         except ValueError:
@@ -65,7 +66,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _parse_lambda(text: str, high: float) -> tuple[float, float]:
-    parts = [p for p in str(text).split(",") if p != ""]
+    parts = [p for p in text.split(",") if p != ""]
     if len(parts) == 1:
         return float(parts[0]), high
     if len(parts) == 2:
@@ -82,15 +83,12 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    settings = {key: default for key, (default, _) in _SETTINGS.items()}
+    if args.config:
         settings.update(_read_config_file(args.config))
     # A one-value --lambda keeps the high scale of the file, or of the defaults.
     _, high = _parse_lambda(settings["lambda"], _CONFIG.lambda_high)
-    for key in _CASTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
+    settings.update((key, flag) for key in _SETTINGS if (flag := getattr(args, key)) is not None)
     settings["lambda"] = _parse_lambda(settings["lambda"], high)
     return settings
 
@@ -98,16 +96,16 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _experiment_config(settings: dict) -> ExperimentConfig:
     lam_low, lam_high = settings["lambda"]
     return ExperimentConfig(
-        seed=int(settings["seed"]),
-        n_datasets=int(settings["datasets"]),
+        seed=settings["seed"],
+        n_datasets=settings["datasets"],
         methods=_parse_methods(settings["methods"]),
-        svm_c=float(settings["svm_c"]),
-        window_grid=int(settings["window_grid"]),
-        threshold_grid=int(settings["threshold_grid"]),
+        svm_c=settings["svm_c"],
+        window_grid=settings["window_grid"],
+        threshold_grid=settings["threshold_grid"],
         lambda_low=lam_low,
         lambda_high=lam_high,
-        n_train=int(settings["n_train"]),
-        n_test=int(settings["n_test"]),
+        n_train=settings["n_train"],
+        n_test=settings["n_test"],
     )
 
 
@@ -200,22 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value settings file")
-        p.add_argument("--seed", type=int, help="suite seed")
-        p.add_argument("--datasets", type=int, help="number of datasets in the suite")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--methods", help="comma-separated method list")
-        p.add_argument(
-            "--lambda",
-            dest="lambda",
-            metavar="LOW[,HIGH]",
-            help=f"scale factors for the *1/*2 parameterizations (default {_DEFAULTS['lambda']})",
-        )
-        p.add_argument("--name", help="suite name used in dataset file names")
-        p.add_argument("--svm-c", dest="svm_c", type=float, help="SVM regularization bound")
-        p.add_argument("--window-grid", dest="window_grid", type=int, help="|A|")
-        p.add_argument("--threshold-grid", dest="threshold_grid", type=int, help="|B|")
-        p.add_argument("--n-train", dest="n_train", type=int, help="training instances")
-        p.add_argument("--n-test", dest="n_test", type=int, help="test instances")
+        for key, (default, text) in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           help=f"{text} (default {default})")
     return parser
 
 

@@ -105,10 +105,12 @@ class InstanceSeries:
         labs = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-d array")
+        if feats.shape[0] == 0:
+            raise ValueError("instance block is empty")
         require_finite(feats, "feature")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must be 1-d and match the number of instances")
-        if labs.size and not np.all(np.isin(labs, (-1, 1))):
+        if not np.all(np.isin(labs, (-1, 1))):
             raise ValueError("labels must be -1 or +1")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", read_only(labs, np.int8))
@@ -174,6 +176,8 @@ def generate_benchmark_suite(
     """
     if n_datasets < 2:
         raise ValueError(f"a benchmark suite needs at least 2 datasets, got {n_datasets}")
+    if seed < 0:
+        raise ValueError(f"suite seed must be >= 0, got {seed}")
     step = SWEEP_WIDTH / (n_datasets - 1)
     suite = []
     for k in range(n_datasets):

@@ -92,8 +92,6 @@ class DCAPopulation:
 
 def preprocess(series: InstanceSeries) -> SignalSeries:
     """Build safe/danger signals from a two-feature labeled block."""
-    if len(series) == 0:
-        raise ValueError("instance block is empty")
     if series.n_features != 2:
         raise ValueError(f"expected exactly 2 features, got {series.n_features}")
     feats = series.features

@@ -166,10 +166,6 @@ def shapiro_wilk(x) -> TestReport:
 # ---------------------------------------------------------------------------
 
 
-def _norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def _norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
@@ -237,7 +233,7 @@ def wilcoxon_signed_rank(sample: PairedSample, alternative: str = "two-sided") -
     if alternative == "a-greater":
         p = _norm_sf((v - mu - 0.5) / sigma)
     elif alternative == "a-less":
-        p = _norm_cdf((v - mu + 0.5) / sigma)
+        p = _norm_sf(-(v - mu + 0.5) / sigma)
     else:
         shift = 0.5 * float(np.sign(v - mu))
         z = (v - mu - shift) / sigma
@@ -335,18 +331,18 @@ def paired_t_test(sample: PairedSample, alternative: str = "two-sided") -> TestR
 # ---------------------------------------------------------------------------
 
 
-def choose_test(a, b, significance: float = 0.05) -> bool:
+def choose_test(a, b) -> bool:
     """Screen both samples and their differences for normality.
 
     True selects the parametric (paired t) branch: all three Shapiro-Wilk
-    tests pass at ``significance``.  A zero-variance input cannot be normal,
+    tests pass at the 0.05 level.  A zero-variance input cannot be normal,
     so it fails the screen instead of raising.
     """
     sample = PairedSample(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
     def passes(values) -> bool:
         try:
-            return shapiro_wilk(values).p_value >= significance
+            return shapiro_wilk(values).p_value >= 0.05
         except DegenerateSampleError:
             return False
 

@@ -66,6 +66,8 @@ class ScoreSeries:
         truths = read_only(self.truths, int)
         if scores.shape != truths.shape or scores.ndim != 1:
             raise ValueError("scores and truths must be 1-d arrays of equal length")
+        if scores.size == 0 or not np.all(np.abs(truths) == 1):
+            raise ValueError("score series must be nonempty, with truth labels -1 or +1")
         require_finite(scores, "score")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "truths", truths)
@@ -89,8 +91,6 @@ def train(
     new minimum in 10 steps per instance, at least 10,000: pairs can zig-zag).
     A NaN candidate bias, or +inf (-inf) in the "can increase" ("decrease") set, stops it.
     """
-    if len(series) == 0:
-        raise ValueError("training set is empty")
     if not C > 0:
         raise ValueError(f"C must be > 0, got {C}")
     X = series.features
@@ -176,8 +176,6 @@ def dual_objective(model: LinearModel, series: InstanceSeries) -> float:
 
 def score_series(model: LinearModel, series: InstanceSeries) -> ScoreSeries:
     """Signed distances for a time-ordered block, in time order."""
-    if len(series) == 0:
-        return ScoreSeries(np.empty(0), np.empty(0, dtype=int))
     norm = float(np.linalg.norm(model.w))
     if norm == 0.0:
         raise DegenerateModelError("weight vector is zero; distances are undefined")

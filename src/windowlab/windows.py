@@ -116,12 +116,9 @@ def _window_labels(series: ScoreSeries, edges: np.ndarray) -> np.ndarray:
 
 def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
     """Label every instance with the sign of its fixed-width window's score sum."""
-    n = len(series)
-    if n == 0:
-        raise ValueError("score series is empty")
     if alpha < 1:
         raise ValueError(f"window size must be >= 1, got {alpha}")
-    return _window_labels(series, next(_static_batches(n, np.array([alpha])))[0])
+    return _window_labels(series, next(_static_batches(len(series), np.array([alpha])))[0])
 
 
 def _lane_errors(series: ScoreSeries, lanes: int, batches: Iterable[tuple]) -> np.ndarray:
@@ -129,8 +126,6 @@ def _lane_errors(series: ScoreSeries, lanes: int, batches: Iterable[tuple]) -> n
     in lane order one at a time.  A -1 window gets its positives wrong, a +1
     window its negatives: all positives, plus per +1 window its width less twice
     its positives, a difference of ``q``; integer terms, so sums are exact."""
-    if len(series) == 0 or not np.all(np.abs(series.truths) == 1):
-        raise ValueError("score series must be nonempty, with truth labels -1 or +1")
     cum = prefix_sums(series.scores)
     cum_pos = prefix_sums(series.truths > 0)
     q = np.arange(len(cum)) - 2 * cum_pos
@@ -161,15 +156,13 @@ def budget_ladder(peak: float, m: int, lam: float) -> np.ndarray:
     grid and the DCA's lifespans.  Each caller rejects its own zero peak."""
     if m < 1:
         raise ValueError(f"ladder size must be >= 1, got {m}")
-    if not lam > 0:
-        raise ValueError(f"scale factor must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {lam}")
     return peak * (np.arange(1, m + 1, dtype=float) / m) * lam
 
 
 def make_threshold_grid(series: ScoreSeries, m: int, lam: float) -> ThresholdGrid:
     """Budgets b_l = max|score| * (l/m) * lam for l = 1..m."""
-    if len(series) == 0:
-        raise ValueError("score series is empty")
     peak = float(np.max(np.abs(series.scores)))
     budgets = budget_ladder(peak, m, lam)
     if peak == 0.0:
@@ -264,8 +257,6 @@ def budget_walk(
 
 def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
     """Label every instance with the sign of its dynamic window's score sum."""
-    if len(series) == 0:
-        raise ValueError("score series is empty")
     if not beta > 0:
         raise ValueError(f"threshold must be > 0, got {beta}")
     edges, _ = next(budget_walk(np.cumsum(np.abs(series.scores)), [float(beta)], "right"))

@@ -1,0 +1,130 @@
+"""Bad input fails fast and by name, wherever it enters the pipeline.
+
+A small valid split gets one defect.  Building the split rejects what a split
+cannot hold (non-finite features, no rows); what it can hold is rejected by the
+first consumer that cannot use it: ``dca.preprocess`` (a constant feature, a
+single class) or ``svm.train`` (a single class).  Score series get the same
+treatment: building one rejects non-finite scores, no rows and bad truths, and
+``make_threshold_grid`` rejects all-zero scores.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from windowlab import dca
+from windowlab.datagen import InstanceSeries
+from windowlab.svm import ScoreSeries, score_series, train
+from windowlab.windows import default_size_grid, make_threshold_grid, tune_dynamic, tune_static
+
+FINITE = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
+
+
+def filters(scores: ScoreSeries) -> None:
+    """Tune both moving-window filters, as the harness does."""
+    tune_static(scores, default_size_grid(4))
+    tune_dynamic(scores, make_threshold_grid(scores, 4, 1.0))
+
+
+def svm_path(split: InstanceSeries) -> None:
+    """Train, score the split and tune both filters on its scores."""
+    filters(score_series(train(split, C=1.0), split))
+
+
+# Each defect: the words that must name it, and the consumers that must reject
+# it once the split is built (none: building the split must reject it).
+SPLIT_DEFECTS = {
+    "nan": (r"feature f\d is nan at time index \d+", ()),
+    "inf": (r"feature f\d is inf at time index \d+", ()),
+    "-inf": (r"feature f\d is -inf at time index \d+", ()),
+    "no rows": ("instance block is empty", ()),
+    "constant feature": (r"feature \d is constant", (dca.preprocess,)),
+    "single class": (r"both classes|single class", (svm_path, dca.preprocess)),
+}
+
+SCORE_DEFECTS = {
+    "nan": (r"score is nan at time index \d+", ()),
+    "inf": (r"score is inf at time index \d+", ()),
+    "-inf": (r"score is -inf at time index \d+", ()),
+    "no rows": ("score series must be nonempty", ()),
+    "truth 0": (r"truth labels -1 or \+1", ()),
+    "all-zero scores": ("all scores are zero", (filters,)),
+}
+
+
+def rejects(action, pattern: str) -> None:
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=pattern):
+        action()
+    assert time.perf_counter() - start < 1.0
+
+
+def assert_rejected(build, consumers, pattern: str) -> None:
+    """With no consumers, building raises naming the defect; otherwise each consumer does."""
+    if not consumers:
+        return rejects(build, pattern)
+    built = build()
+    for consumer in consumers:
+        rejects(lambda: consumer(built), pattern)
+
+
+@st.composite
+def valid_splits(draw):
+    """Features with a spread in each column, and labels of both classes."""
+    n = draw(st.integers(min_value=4, max_value=40))
+    feats = np.array(draw(st.lists(st.tuples(FINITE, FINITE), min_size=n, max_size=n)))
+    feats[:2] = [[-11.0, 11.0], [11.0, -11.0]]  # outside FINITE's range: no column is constant
+    labels = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    labels[:2] = [-1, 1]
+    return feats, labels
+
+
+def spoil_split(feats, labels, defect, row, col):
+    """One defect at ``row`` (and feature ``col``) of a valid split."""
+    if defect in ("nan", "inf", "-inf"):
+        feats[row, col] = float(defect)
+    elif defect == "no rows":
+        feats, labels = feats[:0], labels[:0]
+    elif defect == "constant feature":
+        feats[:, col] = feats[row, col]
+    else:
+        labels[:] = labels[row]
+    return feats, labels
+
+
+class TestBadSplit:
+    @given(valid_splits(), st.sampled_from(sorted(SPLIT_DEFECTS)), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_each_defect_is_named_within_a_second(self, split, defect, data):
+        feats, labels = split
+        row = data.draw(st.integers(0, len(labels) - 1), "row")
+        col = data.draw(st.integers(0, 1), "col")
+        feats, labels = spoil_split(feats, labels, defect, row, col)
+        pattern, consumers = SPLIT_DEFECTS[defect]
+        assert_rejected(lambda: InstanceSeries(feats, labels), consumers, pattern)
+
+
+class TestBadScores:
+    @given(
+        st.lists(FINITE, min_size=1, max_size=40),
+        st.sampled_from(sorted(SCORE_DEFECTS)),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_defect_is_named_within_a_second(self, scores, defect, data):
+        scores = np.array(scores)
+        truths = np.where(scores >= 0, 1, -1)
+        row = data.draw(st.integers(0, len(scores) - 1), "row")
+        if defect in ("nan", "inf", "-inf"):
+            scores[row] = float(defect)
+        elif defect == "no rows":
+            scores, truths = scores[:0], truths[:0]
+        elif defect == "truth 0":
+            truths[row] = 0
+        else:
+            scores[:] = 0.0
+        pattern, consumers = SCORE_DEFECTS[defect]
+        assert_rejected(lambda: ScoreSeries(scores, truths), consumers, pattern)

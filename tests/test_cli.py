@@ -89,6 +89,10 @@ class TestRunAndAnalyze:
         methods = {line.split(",")[2] for line in body}
         assert methods == {"LNC", "SMOV"}
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        assert main(["run", "--seed", "-1", "--out", str(tmp_path), *FAST]) == 1
+        assert "suite seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_unknown_method_is_reported(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path), "--methods", "LNC,BOGUS", *FAST])
         assert code == 1
@@ -186,6 +190,11 @@ class TestLambdaFlag:
             config = _experiment_config(_resolve(args))
             scales[name] = (config.lambda_low, config.lambda_high)
         assert scales == {"file": (2.0, 50.0), "defaults": (2.0, 100.0)}
+
+    def test_infinite_lambda_is_named(self, tmp_path, capsys):
+        code = main(["run", "--out", str(tmp_path), "--lambda", "inf", *FAST])
+        assert code == 1
+        assert "scale factor must be positive and finite, got inf" in capsys.readouterr().err
 
     def test_bad_lambda_reported(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path), "--lambda", "1,2,3", *FAST])

@@ -102,6 +102,10 @@ class TestBenchmarkSuite:
         with pytest.raises(ValueError):
             generate_benchmark_suite(1, small_config(), seed=3)
 
+    def test_rejects_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="suite seed must be >= 0, got -1"):
+            generate_benchmark_suite(2, small_config(), -1)
+
     def test_member_seeds_are_deterministic_and_distinct(self):
         seeds = [suite_member_seed(99, k) for k in range(10)]
         assert seeds == [suite_member_seed(99, k) for k in range(10)]
@@ -163,6 +167,10 @@ class TestCentroidDistance:
 
 
 class TestInstanceSeries:
+    def test_rejects_empty_block_by_name(self):
+        with pytest.raises(ValueError, match="instance block is empty"):
+            InstanceSeries(np.empty((0, 2)), np.empty(0, dtype=int))
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
             InstanceSeries(np.zeros((2, 2)), np.array([0, 1]))

@@ -336,9 +336,15 @@ class TestDecisionOps:
 
 class TestScoreSeries:
     def test_empty_test_set(self):
-        model = train(TWO_POINTS, C=1.0)
-        out = score_series(model, series(np.empty((0, 2)), []))
-        assert len(out) == 0
+        # An empty split cannot be built, so score_series never sees one; nor
+        # can an empty score series be built directly.
+        with pytest.raises(ValueError, match="score series must be nonempty"):
+            ScoreSeries(np.empty(0), np.empty(0, dtype=int))
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_rejects_truth_outside_plus_minus_one(self, bad):
+        with pytest.raises(ValueError, match=r"truth labels -1 or \+1"):
+            ScoreSeries(np.array([0.5, -0.5, 1.0]), np.array([1, bad, -1]))
 
     def test_two_point_scores_symmetric(self):
         model = train(TWO_POINTS, C=1.0)

@@ -328,6 +328,11 @@ class TestThresholdGrid:
         with pytest.raises(DegenerateGridError):
             make_threshold_grid(make_series([0.0, 0.0]), 10, 1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_ladder_rejects_a_scale_factor_that_is_not_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match=f"scale factor must be positive and finite, got {lam}"):
+            windows.budget_ladder(1.0, 10, lam)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             ThresholdGrid(np.array([1.0, 1.0]), 1.0)
