@@ -104,6 +104,14 @@ class ExperimentConfig:
                 raise ValueError(f"method {method} is listed more than once")
         if self.n_datasets < 2:
             raise ValueError(f"n_datasets must be >= 2, got {self.n_datasets}")
+        for name in ("lambda_low", "lambda_high"):
+            if not 0 < (lam := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name}: scale factor must be positive and finite, got {lam}")
+        if not 0 < self.svm_c < math.inf:
+            raise ValueError(f"svm_c must be positive and finite, got {self.svm_c}")
+        for name in ("window_grid", "threshold_grid"):
+            if (size := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
 
     def base_generator_config(self) -> GeneratorConfig:
         return GeneratorConfig(

@@ -63,14 +63,14 @@ class ScoreSeries:
 
     def __post_init__(self) -> None:
         scores = read_only(self.scores, float)
-        truths = read_only(self.truths, int)
+        truths = np.asarray(self.truths)
         if scores.shape != truths.shape or scores.ndim != 1:
             raise ValueError("scores and truths must be 1-d arrays of equal length")
         if scores.size == 0 or not np.all(np.abs(truths) == 1):
             raise ValueError("score series must be nonempty, with truth labels -1 or +1")
         require_finite(scores, "score")
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "truths", truths)
+        object.__setattr__(self, "truths", read_only(truths, int))
 
     def __len__(self) -> int:
         return self.scores.shape[0]

@@ -18,9 +18,10 @@ shares: a window's end depends only on its start, so each budget's windows
 are a path from index 0.  A budget expecting many windows walks a successor
 table of all starts by pointer doubling, about log2(windows) array steps, as a
 batch of its own; the next one, if a small step up, re-searches only the ends
-that step passed.  One expecting few bisects the prefix sums window by window
-and shares a batch, so a coarse budget costs its windows, not the series
-length.  In the DCA a window closes on reaching its budget, not within it.
+that step passed, and if it passed none yields the same read-only lane again.
+One expecting few bisects the prefix sums window by window and shares a batch,
+so a coarse budget costs its windows, not the series length.  In the DCA a
+window closes on reaching its budget, not within it.
 
 Tuning is exhaustive minimization of the mean squared label error over a
 parameter grid, one lane of edges per value; ties go to the smallest.
@@ -194,7 +195,9 @@ def budget_walk(
       The lane is a batch of its own.  Ends only move forward as the budget
       grows, so ``s`` is kept, and a step under the mean magnitude re-searches
       only ends that now meet their target: ``cum_mag[end] <= target`` right,
-      ``before[end] < target`` left.  Other steps rebuild ``s``;
+      ``before[end] < target`` left.  If none does, ``s`` and so the path are
+      unchanged, and the last table lane is yielded again: its edges are
+      read-only.  Other steps rebuild ``s``;
     * few windows (under n / ``_BISECT_STEP_COST``): each step bisects the
       prefix sums from ``start`` alone, so the lane costs its windows, not n.
       Such lanes share a batch, yielded once it holds n edges or a table lane is next.
@@ -234,8 +237,12 @@ def budget_walk(
                     edges.append(start)
         else:
             np.add(before, budget, out=target)
-            if 0 <= budget - last < total / n:  # ends move forward: re-search those passed
+            step, last = budget - last, budget
+            if 0 <= step < total / n:  # ends move forward: re-search those passed
                 moved = np.flatnonzero(passed(stop.take(table[:n], mode="clip"), target[:n]))
+                if not moved.size:  # the table, so the path, is unchanged
+                    yield lane
+                    continue
                 ends = cum_mag.searchsorted(target[moved], side) + (side == "left")
                 table[moved] = np.minimum(ends, n)
             else:
@@ -243,13 +250,14 @@ def budget_walk(
                 table += side == "left"
                 np.maximum(table, floor, out=table)
                 np.minimum(table, n, out=table)
-            last = budget
             # m <= windows <= n, so indices stay in range; clip mode skips take's copy of out
             path, succ, jump, m = np.zeros(2 * n, np.intp), table.copy(), np.empty_like(table), 1
             while succ.take(path[:m], out=path[m : 2 * m], mode="clip")[-1] < n:
                 succ, jump, m = succ.take(succ, out=jump, mode="clip"), succ, 2 * m
-            # rises to n, then stays
-            yield path[: path[: 2 * m].searchsorted(n) + 1], np.zeros(1, np.intp)
+            path = path[: path[: 2 * m].searchsorted(n) + 1]  # rises to n, then stays
+            path.flags.writeable = False  # a lane may be yielded again
+            lane = path, np.zeros(1, np.intp)
+            yield lane
     if edges:
         batch, edges, starts = (np.array(edges, np.intp), np.array(starts, np.intp)), [], []
         yield batch

@@ -196,6 +196,22 @@ class TestLambdaFlag:
         assert code == 1
         assert "scale factor must be positive and finite, got inf" in capsys.readouterr().err
 
+    def test_bad_lambda_is_named_when_no_method_reads_it(self, tmp_path, capsys):
+        out = tmp_path / "lnc"
+        code = main(["run", "--out", str(out), "--methods", "LNC", "--lambda", "inf,nan", *FAST])
+        assert code == 1
+        assert "lambda_low: scale factor must be positive and finite, got inf" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_negative_svm_c_is_named_before_any_dataset(self, tmp_path, capsys):
+        code = main(["run", "--out", str(tmp_path), "--svm-c", "-1", *FAST])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "svm_c must be positive and finite, got -1.0" in err
+        assert "dataset" not in err
+
     def test_bad_lambda_reported(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path), "--lambda", "1,2,3", *FAST])
         assert code == 1

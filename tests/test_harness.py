@@ -1,4 +1,5 @@
 import hashlib
+import re
 import weakref
 
 import numpy as np
@@ -334,6 +335,32 @@ class TestConfigValidation:
     def test_rejects_single_dataset(self):
         with pytest.raises(ValueError, match="n_datasets"):
             ExperimentConfig(seed=0, n_datasets=1)
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("lambda_low", 0.0),
+            ("lambda_low", float("nan")),
+            ("lambda_high", float("inf")),
+            ("lambda_high", -1.0),
+            ("svm_c", -1.0),
+            ("svm_c", float("nan")),
+            ("svm_c", float("inf")),  # the solver would stall on dataset 0
+            ("window_grid", 0),
+            ("threshold_grid", -2),
+        ],
+    )
+    def test_rejects_a_bad_setting_by_name(self, setting, value):
+        rule = {
+            "lambda_low": ": scale factor must be positive and finite,",
+            "lambda_high": ": scale factor must be positive and finite,",
+            "svm_c": " must be positive and finite,",
+            "window_grid": " must be >= 1,",
+            "threshold_grid": " must be >= 1,",
+        }[setting]
+        # LNC alone reads none of these settings: they are checked anyway
+        with pytest.raises(ValueError, match=re.escape(f"{setting}{rule} got {value}")):
+            ExperimentConfig(seed=0, methods=(Method.LNC,), **{setting: value})
 
     def test_scale_lookup(self):
         cfg = ExperimentConfig(seed=0)

@@ -346,6 +346,11 @@ class TestScoreSeries:
         with pytest.raises(ValueError, match=r"truth labels -1 or \+1"):
             ScoreSeries(np.array([0.5, -0.5, 1.0]), np.array([1, bad, -1]))
 
+    @pytest.mark.parametrize("bad", [1.5, -1.9])
+    def test_rejects_a_fractional_truth_before_casting_it(self, bad):
+        with pytest.raises(ValueError, match=r"truth labels -1 or \+1"):
+            ScoreSeries(np.array([0.5, -0.5]), np.array([1.0, bad]))
+
     def test_two_point_scores_symmetric(self):
         model = train(TWO_POINTS, C=1.0)
         out = score_series(model, TWO_POINTS)

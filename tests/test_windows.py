@@ -474,6 +474,25 @@ GRID_LADDER = windows.budget_ladder(0.25, 100, 1.0)
 SPIKED = np.where(np.arange(120) == 57, 64.0, GRID_INCREMENTS)
 
 
+def window_ends(increments, budget, side):
+    """Every start's window end, one index at a time: the successor table a
+    walk keeps, from the rule in ``budget_walk``'s docstring."""
+    cum = np.cumsum(increments)
+    n = len(cum)
+    ends = []
+    for start in range(n):
+        target = (cum[start - 1] if start else 0.0) + budget
+        end = start + 1
+        if side == "right":
+            while end < n and cum[end] <= target:
+                end += 1
+        else:
+            while end < n and cum[end - 1] < target:
+                end += 1
+        ends.append(end)
+    return ends
+
+
 class SearchLog(np.ndarray):
     """Prefix sums that log how many targets each ``searchsorted`` call takes."""
 
@@ -516,26 +535,66 @@ class TestTableReuse:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize(
-        "increments, budgets, rebuilds",
+        "increments, budgets, rebuilds, searches",
         [
-            (GRID_INCREMENTS, GRID_LADDER, 1),
-            (GRID_INCREMENTS, GRID_LADDER[::-1], 100),
+            (GRID_INCREMENTS, GRID_LADDER, 1, {"left": 8, "right": 31}),
+            (GRID_INCREMENTS, GRID_LADDER[::-1], 100, {"left": 100, "right": 100}),
             # lambda = 100: each step is the peak, at least the mean
-            (GRID_INCREMENTS, windows.budget_ladder(0.25, 100, 100.0)[:2], 2),
-            (SPIKED, windows.budget_ladder(64.0, 100, 1.0)[:7], 7),
+            (
+                GRID_INCREMENTS,
+                windows.budget_ladder(0.25, 100, 100.0)[:2],
+                2,
+                {"left": 2, "right": 2},
+            ),
+            (SPIKED, windows.budget_ladder(64.0, 100, 1.0)[:7], 7, {"left": 7, "right": 7}),
         ],
     )
     def test_small_steps_reuse_the_table_and_others_rebuild(
-        self, side, increments, budgets, rebuilds
+        self, side, increments, budgets, rebuilds, searches
     ):
+        """One search per lane, except a small step that moves no end: it
+        searches nothing and yields the last lane again, whose ends it keeps."""
         cum = np.cumsum(increments).view(SearchLog)
         cum.log = []
-        for _ in budget_walk(cum, budgets, side):
-            pass
+        lanes = [edges for edges, _ in budget_walk(cum, budgets, side)]
+        assert len(lanes) == len(budgets)  # every lane a table lane
         full = len(increments) + 1
-        assert len(cum.log) == len(budgets)  # every lane a table lane
+        assert len(cum.log) == searches[side]
         assert cum.log[0] == full
         assert sum(size == full for size in cum.log) == rebuilds
+        reused = [k for k in range(1, len(lanes)) if lanes[k] is lanes[k - 1]]
+        assert len(reused) == len(budgets) - searches[side]
+        for k in reused:
+            assert 0 <= budgets[k] - budgets[k - 1] < cum[-1] / len(increments)
+            assert window_ends(increments, budgets[k], side) == window_ends(
+                increments, budgets[k - 1], side
+            )
+        assert not any(edges.flags.writeable for edges in lanes)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "increments, budgets",
+        [
+            (GRID_INCREMENTS, np.full(10, 0.1)),  # steps of zero
+            # every prefix sum is at least 1.0, whose half ulp exceeds 1e-16,
+            # and the first index is far above the budgets: no target moves
+            (GRID_INCREMENTS + 1.0, 1e-17 * np.arange(1, 11)),
+            # prefix sums on multiples of 3, and a last index over every budget,
+            # so no end moves between 3 and 6; steps of 0.1 under the mean 1.24
+            # add up to 1.5, so each step is measured from the lane before it
+            (np.array([0, 0, 0, 3] * 25 + [50.0]), 3.5 + 0.1 * np.arange(16)),
+        ],
+    )
+    def test_steps_that_move_no_end_yield_the_first_lane_again(self, side, increments, budgets):
+        cum = np.cumsum(increments).view(SearchLog)
+        cum.log = []
+        lanes = [edges for edges, _ in budget_walk(cum, budgets, side)]
+        assert cum.log == [len(increments) + 1]  # only the first lane searches
+        assert all(edges is lanes[0] for edges in lanes)
+        for edges, budget in zip(lanes, budgets):
+            assert spans_of(edges) == oracles.budget_spans(increments, budget, side)
+        with pytest.raises(ValueError, match="read-only"):
+            lanes[0][1] = 0
 
 
 class TestDynamicLabel:
