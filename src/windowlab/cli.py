@@ -146,7 +146,7 @@ def _cmd_analyze(settings: dict) -> int:
     # The table stores each dataset's centroid distance by repr, so the suite
     # of these settings reproduces it exactly or is not the suite run used.
     suite = generate_benchmark_suite(cfg.n_datasets, cfg.base_generator_config(), cfg.seed)
-    expected = dict(enumerate(map(centroid_distance, suite)))
+    expected = {k: centroid_distance(ds.train, ds.test) for k, ds in enumerate(suite)}
     for index, stored in zip(results.dataset_indexes(), results.distances().tolist()):
         if stored != expected.get(index):
             raise ValueError(

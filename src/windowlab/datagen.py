@@ -11,8 +11,9 @@ Conventions fixed here (and relied on everywhere downstream):
 * class I (normal) instances carry label -1, class II (anomalous) +1;
 * time indexes are 1-based and consecutive within a split;
 * train and test splits are quartered independently;
-* sampling uses numpy's PCG64 generator (``numpy.random.default_rng``);
-  the per-dataset seeds of a suite are derived from the suite seed by
+* sampling uses numpy's PCG64 generator (``numpy.random.default_rng``),
+  and a dataset draws both splits the first time either is read; the
+  per-dataset seeds of a suite are derived from the suite seed by
   feeding ``SeedSequence([suite_seed, dataset_index])`` (numpy's entropy
   pooling) and drawing one 64-bit word.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -125,9 +127,25 @@ class InstanceSeries:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    train: InstanceSeries
-    test: InstanceSeries
+    """A dataset's config; its splits are drawn on first read and kept."""
+
     config: GeneratorConfig
+
+    @cached_property
+    def _splits(self) -> tuple[InstanceSeries, InstanceSeries]:
+        # Train first, then test, from one generator: the layout of random
+        # draws is part of the reproducibility contract.
+        rng = np.random.default_rng(self.config.seed)
+        train = _sample_split(rng, self.config.n_train, self.config)
+        return train, _sample_split(rng, self.config.n_test, self.config)
+
+    @property
+    def train(self) -> InstanceSeries:
+        return self._splits[0]
+
+    @property
+    def test(self) -> InstanceSeries:
+        return self._splits[1]
 
 
 def quarter_labels(n: int) -> np.ndarray:
@@ -146,16 +164,9 @@ def _sample_split(rng: np.random.Generator, n: int, config: GeneratorConfig) -> 
 
 
 def generate_dataset(config: GeneratorConfig) -> Dataset:
-    """Draw one dataset; identical configs produce bit-identical datasets.
-
-    The train split is drawn first, then the test split, each as a single
-    standard-normal block, so the layout of random draws is part of the
-    reproducibility contract.
-    """
-    rng = np.random.default_rng(config.seed)
-    train = _sample_split(rng, config.n_train, config)
-    test = _sample_split(rng, config.n_test, config)
-    return Dataset(train, test, config)
+    """One dataset, its splits not yet drawn; identical configs give
+    bit-identical splits, whichever split is read first."""
+    return Dataset(config)
 
 
 def suite_member_seed(suite_seed: int, index: int) -> int:
@@ -172,7 +183,7 @@ def generate_benchmark_suite(
     ``CLASS1_MEAN + SWEEP_WIDTH``.
 
     ``base.class2_mean`` is ignored; ``base.seed`` is replaced by a seed
-    derived from ``seed`` and the dataset index.
+    derived from ``seed`` and the dataset index.  No split is drawn here.
     """
     if n_datasets < 2:
         raise ValueError(f"a benchmark suite needs at least 2 datasets, got {n_datasets}")
@@ -190,10 +201,10 @@ def generate_benchmark_suite(
     return suite
 
 
-def centroid_distance(dataset: Dataset) -> float:
+def centroid_distance(train: InstanceSeries, test: InstanceSeries) -> float:
     """Euclidean distance between the per-class feature means over train+test."""
-    feats = np.vstack([dataset.train.features, dataset.test.features])
-    labs = np.concatenate([dataset.train.labels, dataset.test.labels])
+    feats = np.vstack([train.features, test.features])
+    labs = np.concatenate([train.labels, test.labels])
     out = []
     for lab in (NORMAL_LABEL, ANOMALOUS_LABEL):
         mask = labs == lab

@@ -148,7 +148,7 @@ def _run_dataset(
     """Every configured method on one dataset.  The model, each split's scores
     and the DCA signals are computed at most once, and only if a method needs
     them; the cached objects are the ones passed on."""
-    distance = centroid_distance(dataset)
+    distance = centroid_distance(dataset.train, dataset.test)
 
     @cache
     def model() -> svm_mod.LinearModel:
@@ -279,7 +279,8 @@ def run_experiment_detailed(
     suite = generate_benchmark_suite(
         config.n_datasets, config.base_generator_config(), config.seed
     )
-    # Popping each dataset frees its splits as soon as its rows exist.
+    # Splits are drawn when first read, and popping each dataset frees them as
+    # soon as its rows exist: a run holds one dataset's splits at a time.
     details = [_run_dataset(index, suite.pop(0), config) for index in range(len(suite))]
     rows = tuple(row for per_method in details for row in per_method.values())
     return ResultsTable(rows), details

@@ -85,14 +85,14 @@ def train(
 ) -> LinearModel:
     """Fit the dual problem on a labeled training block.
 
-    Raises ``ValueError`` if only one class is present or ``C <= 0``, and
-    ``ConvergenceError`` if the violation gap has not closed within
+    Raises ``ValueError`` if only one class is present or ``C`` is not in (0, inf),
+    and ``ConvergenceError`` if the violation gap has not closed within
     ``max_pair_updates`` two-variable steps, stops being finite, or stalls (no
     new minimum in 10 steps per instance, at least 10,000: pairs can zig-zag).
     A NaN candidate bias, or +inf (-inf) in the "can increase" ("decrease") set, stops it.
     """
-    if not C > 0:
-        raise ValueError(f"C must be > 0, got {C}")
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
     X = series.features
     y = series.labels.astype(float)
     if y.min() == y.max():  # labels are +-1, so this is the one-class case

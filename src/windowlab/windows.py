@@ -126,17 +126,22 @@ def _lane_errors(series: ScoreSeries, lanes: int, batches: Iterable[tuple]) -> n
     """Each lane's mean squared label error ``4 * wrong / n``, batches taken
     in lane order one at a time.  A -1 window gets its positives wrong, a +1
     window its negatives: all positives, plus per +1 window its width less twice
-    its positives, a difference of ``q``; integer terms, so sums are exact."""
+    its positives, a difference of ``q``; integer terms, so sums are exact.
+    A batch yielded again (the same edges object) copies the previous counts."""
     cum = prefix_sums(series.scores)
     cum_pos = prefix_sums(series.truths > 0)
     q = np.arange(len(cum)) - 2 * cum_pos
-    wrong, lane = np.full(lanes, cum_pos[-1]), 0
+    wrong, lane, prev = np.full(lanes, cum_pos[-1]), 0, None
     for edges, starts in batches:
-        c, g = cum[edges], q[edges]
-        terms = (g[1:] - g[:-1]) * (c[1:] - c[:-1] >= 0)
-        terms[starts[1:] - 1] = 0.0  # the pair from one lane's end to the next one's start
-        wrong[lane : lane + len(starts)] += np.add.reduceat(terms, starts)
-        lane += len(starts)
+        k = len(starts)
+        if edges is prev:
+            wrong[lane : lane + k] = wrong[lane - k : lane]
+        else:
+            c, g = cum[edges], q[edges]
+            terms = (g[1:] - g[:-1]) * (c[1:] - c[:-1] >= 0)
+            terms[starts[1:] - 1] = 0.0  # the pair from one lane's end to the next one's start
+            wrong[lane : lane + k] += np.add.reduceat(terms, starts)
+        prev, lane = edges, lane + k
     return (4 * wrong) / len(series)
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from windowlab.datagen import (
-    Dataset,
     GeneratorConfig,
     InstanceSeries,
     centroid_distance,
@@ -65,6 +64,18 @@ class TestSampling:
         assert np.array_equal(a.train.features, b.train.features)
         assert np.array_equal(a.test.features, b.test.features)
 
+    def test_reading_test_first_gives_the_same_bytes(self):
+        usual, reversed_ = generate_dataset(small_config()), generate_dataset(small_config())
+        first = (usual.train, usual.test)
+        test, train = reversed_.test, reversed_.train
+        for a, b in zip(first, (train, test)):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+
+    def test_splits_are_drawn_once(self):
+        ds = generate_dataset(small_config())
+        assert ds.train is ds.train and ds.test is ds.test
+
     def test_different_seeds_differ(self):
         a = generate_dataset(small_config(seed=1))
         b = generate_dataset(small_config(seed=2))
@@ -119,13 +130,30 @@ class TestBenchmarkSuite:
 
     def test_centroid_distance_nondecreasing_within_noise(self):
         suite = generate_benchmark_suite(8, small_config(), seed=11)
-        dists = [centroid_distance(d) for d in suite]
+        dists = [centroid_distance(d.train, d.test) for d in suite]
         slack = 3 * 0.1 * math.sqrt(2 / 200)
         assert all(b - a > -slack for a, b in zip(dists, dists[1:]))
 
     def test_memory_is_two_float_features_and_a_byte_label_per_instance(self):
         # 17 B per instance are held; the slack covers one 8,000-row split's
-        # temporaries (about 400 KB).  int64 labels would hold 24 B.
+        # temporaries (about 400 KB).  int64 labels would hold 24 B.  Splits
+        # are drawn when first read, so every one is read inside the trace.
+        base = small_config(n_train=8000, n_test=8000)
+        warm = generate_benchmark_suite(2, small_config(n_train=8, n_test=8), seed=5)
+        assert len(warm[0].train) == 8  # warm caches, the draw's included
+        tracemalloc.start()
+        try:
+            suite = generate_benchmark_suite(4, base, seed=5)
+            instances = sum(len(ds.train) + len(ds.test) for ds in suite)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert instances == 64_000
+        assert peak < 18 * instances + 512 * 1024
+
+    def test_generating_a_suite_draws_no_split(self):
+        # Less than one 8,000-row split's feature block (128,000 B) for four
+        # datasets: their splits wait for their first read.
         base = small_config(n_train=8000, n_test=8000)
         generate_benchmark_suite(2, small_config(n_train=8, n_test=8), seed=5)  # warm caches
         tracemalloc.start()
@@ -134,19 +162,18 @@ class TestBenchmarkSuite:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        instances = sum(len(ds.train) + len(ds.test) for ds in suite)
-        assert instances == 64_000
-        assert peak < 18 * instances + 512 * 1024
+        assert len(suite) == 4
+        assert peak < 16 * 8000
 
 
 class TestCentroidDistance:
     def test_identical_distributions_near_zero(self):
         ds = generate_dataset(GeneratorConfig(class2_mean=0.2, seed=2))
-        assert centroid_distance(ds) < 3 * 0.1 * math.sqrt(2 / 1000) * 3
+        assert centroid_distance(ds.train, ds.test) < 3 * 0.1 * math.sqrt(2 / 1000) * 3
 
     def test_nominal_separated_distance(self):
         ds = generate_dataset(GeneratorConfig(class2_mean=0.8, seed=2))
-        assert centroid_distance(ds) == pytest.approx(0.6 * math.sqrt(2), abs=0.02)
+        assert centroid_distance(ds.train, ds.test) == pytest.approx(0.6 * math.sqrt(2), abs=0.02)
 
     @pytest.mark.parametrize(
         "delta,expected", [(0.1202, 0.17), (0.2970, 0.42), (0.4808, 0.68)]
@@ -156,14 +183,14 @@ class TestCentroidDistance:
         # empirical one should track it within sampling noise.
         assert math.sqrt(2) * delta == pytest.approx(expected, abs=0.005)
         ds = generate_dataset(GeneratorConfig(class2_mean=0.2 + delta, seed=4))
-        assert centroid_distance(ds) == pytest.approx(expected, abs=0.02)
+        assert centroid_distance(ds.train, ds.test) == pytest.approx(expected, abs=0.02)
 
     def test_single_class_rejected(self):
         ds = generate_dataset(small_config(n_train=8, n_test=8))
         anomalous = ds.train.labels == 1
         lop = InstanceSeries(ds.train.features[anomalous], ds.train.labels[anomalous])
         with pytest.raises(ValueError, match="label"):
-            centroid_distance(Dataset(lop, lop, ds.config))
+            centroid_distance(lop, lop)
 
 
 class TestInstanceSeries:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -182,6 +183,24 @@ class TestRunExperiment:
         _, details = run_experiment_detailed(ExperimentConfig(seed=5, n_datasets=3, **SMALL))
         assert freed == [True, True, True]
         assert [d[Method.LNC].model for d in details] == models
+
+    def test_peak_memory_holds_one_dataset_of_splits_at_a_time(self):
+        # Six 8,000-instance datasets against two: the peak may grow by less
+        # than one split's feature block (128,000 B), where a suite drawn whole
+        # adds four datasets' splits (about 1.1 MB).  DCA2 alone keeps no model
+        # in its rows, so the retained dual weights (64,000 B each) stay out.
+        def peak(n_datasets):
+            cfg = ExperimentConfig(seed=5, n_datasets=n_datasets, methods=(Method.DCA2,),
+                                   n_train=8000, n_test=8000, threshold_grid=10)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm caches
+        assert peak(6) - peak(2) < 16 * 8000
 
     def test_method_failure_names_method_and_dataset(self, monkeypatch):
         cfg = ExperimentConfig(seed=5, n_datasets=2, methods=(Method.DCA1,), **SMALL)

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -75,6 +76,14 @@ class TestTrainBasics:
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError, match="C"):
             train(TWO_POINTS, C=0.0)
+
+    @pytest.mark.parametrize("C", [math.inf, math.nan])
+    def test_rejects_a_c_that_is_not_finite_by_name(self, C):
+        # With C = inf the solver used to stall through 10,000 updates and
+        # raise a ConvergenceError that did not name C.
+        split = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=8)).train
+        with pytest.raises(ValueError, match=f"C must be positive and finite, got {C}"):
+            train(split, C)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):

@@ -596,6 +596,25 @@ class TestTableReuse:
         with pytest.raises(ValueError, match="read-only"):
             lanes[0][1] = 0
 
+    @pytest.mark.parametrize(
+        "budgets",
+        [
+            GRID_LADDER,
+            np.repeat(GRID_LADDER, 2),  # steps of zero
+            # sparse batches between table lanes: only a lane yielded again is copied
+            np.insert(GRID_LADDER, range(0, 100, 7), 2.5),
+        ],
+    )
+    def test_lane_errors_of_a_lane_yielded_again_equal_a_fresh_count(self, budgets):
+        rng = np.random.default_rng(3)
+        n = len(GRID_INCREMENTS)
+        series = make_series(GRID_INCREMENTS * rng.choice([-1, 1], n), rng.choice([-1, 1], n))
+        walk = list(budget_walk(np.cumsum(np.abs(series.scores)), budgets, "right"))
+        assert any(a[0] is b[0] for a, b in zip(walk, walk[1:]))
+        fresh = [(edges.copy(), starts.copy()) for edges, starts in walk]
+        errors = windows._lane_errors(series, len(budgets), walk)
+        assert errors.tolist() == windows._lane_errors(series, len(budgets), fresh).tolist()
+
 
 class TestDynamicLabel:
     def test_huge_budget_single_window_tie_positive(self):
