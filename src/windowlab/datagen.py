@@ -163,12 +163,6 @@ def _sample_split(rng: np.random.Generator, n: int, config: GeneratorConfig) -> 
     return InstanceSeries(features, labels)
 
 
-def generate_dataset(config: GeneratorConfig) -> Dataset:
-    """One dataset, its splits not yet drawn; identical configs give
-    bit-identical splits, whichever split is read first."""
-    return Dataset(config)
-
-
 def suite_member_seed(suite_seed: int, index: int) -> int:
     """Derive the dataset seed for one suite member from the suite seed."""
     ss = np.random.SeedSequence([int(suite_seed), int(index)])
@@ -197,7 +191,7 @@ def generate_benchmark_suite(
             class2_mean=CLASS1_MEAN + k * step,
             seed=suite_member_seed(seed, k),
         )
-        suite.append(generate_dataset(cfg))
+        suite.append(Dataset(cfg))
     return suite
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import ANOMALOUS_LABEL, InstanceSeries
+from .datagen import ANOMALOUS_LABEL, InstanceSeries, read_only, require_finite
 from .windows import budget_ladder, budget_walk, prefix_sums, sign_labels
 
 
@@ -61,6 +61,15 @@ class SignalSeries:
     danger: np.ndarray
     mapping: SignalMapping
 
+    def __post_init__(self) -> None:
+        safe, danger = read_only(self.safe, float), read_only(self.danger, float)
+        if safe.shape != danger.shape or safe.ndim != 1 or safe.size == 0:
+            raise ValueError("safe and danger signals must be nonempty 1-d arrays of equal length")
+        require_finite(safe, "safe signal")
+        require_finite(danger, "danger signal")
+        object.__setattr__(self, "safe", safe)
+        object.__setattr__(self, "danger", danger)
+
     def __len__(self) -> int:
         return self.safe.shape[0]
 
@@ -82,7 +91,7 @@ class DCAPopulation:
         if not self.cells:
             raise ValueError("population is empty")
         spans = [cell.lifespan for cell in self.cells]
-        if spans[0] <= 0 or any(b <= a for a, b in zip(spans, spans[1:])):
+        if not spans[0] > 0 or not all(b > a for a, b in zip(spans, spans[1:])):
             raise ValueError("lifespans must be positive and strictly increasing")
 
     @classmethod
@@ -131,7 +140,7 @@ def signal_transform(safe, danger):
 def init_lifespans(signals: SignalSeries, m: int, lam: float) -> np.ndarray:
     """Lifespan ladder max(csm) * (l/m) * lam for l = 1..m."""
     csm, _ = signal_transform(signals.safe, signals.danger)
-    peak = float(np.max(csm)) if len(signals) else 0.0
+    peak = float(np.max(csm))
     lifespans = budget_ladder(peak, m, lam)
     if peak <= 0.0:
         raise DegenerateSignalError("all signal strengths are zero; lifespans undefined")
@@ -141,8 +150,6 @@ def init_lifespans(signals: SignalSeries, m: int, lam: float) -> np.ndarray:
 def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> np.ndarray:
     """Process the full series with every cell; per-instance vote sums."""
     n = len(signals)
-    if n == 0:
-        raise ValueError("signal series is empty")
     csm, k = signal_transform(signals.safe, signals.danger)
     cum_k = prefix_sums(k)
 

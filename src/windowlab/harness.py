@@ -358,7 +358,7 @@ def analyze(results: ResultsTable, significance: float = 0.05) -> AnalysisReport
     for method in methods:
         try:
             normality.append((method, shapiro_wilk(errors[method])))
-        except (ValueError, DegenerateSampleError):
+        except ValueError:
             normality.append((method, None))
 
     two_sided = []

@@ -182,11 +182,8 @@ def _exact_tail_probs(doubled_ranks: np.ndarray, v2: int) -> tuple[float, float]
     total = int(doubled_ranks.sum())
     counts = np.zeros(total + 1)
     counts[0] = 1.0
-    for r in doubled_ranks:
-        r = int(r)
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: counts.size - r]
-        counts = counts + shifted
+    for r in doubled_ranks.tolist():
+        counts[r:] = counts[r:] + counts[:-r]
     denom = 2.0 ** doubled_ranks.size
     p_less = counts[: v2 + 1].sum() / denom
     p_greater = counts[v2:].sum() / denom
@@ -217,27 +214,20 @@ def wilcoxon_signed_rank(sample: PairedSample, alternative: str = "two-sided") -
         doubled = np.rint(2.0 * ranks).astype(int)
         v2 = int(round(2.0 * v))
         p_less, p_greater = _exact_tail_probs(doubled, v2)
-        if alternative == "a-greater":
-            p = p_greater
-        elif alternative == "a-less":
-            p = p_less
-        else:
-            p = min(1.0, 2.0 * min(p_less, p_greater))
-        return TestReport("wilcoxon-signed-rank", v, float(p), alternative, n)
-
-    mu = n * (n + 1) / 4.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(magnitudes, return_counts=True)
-    var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
-    sigma = math.sqrt(var)
-    if alternative == "a-greater":
-        p = _norm_sf((v - mu - 0.5) / sigma)
-    elif alternative == "a-less":
-        p = _norm_sf(-(v - mu + 0.5) / sigma)
     else:
-        shift = 0.5 * float(np.sign(v - mu))
-        z = (v - mu - shift) / sigma
-        p = min(1.0, 2.0 * _norm_sf(abs(z)))
+        mu = n * (n + 1) / 4.0
+        var = n * (n + 1) * (2 * n + 1) / 24.0
+        _, tie_counts = np.unique(magnitudes, return_counts=True)
+        var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
+        sigma = math.sqrt(var)
+        p_less = _norm_sf(-(v - mu + 0.5) / sigma)
+        p_greater = _norm_sf((v - mu - 0.5) / sigma)
+    if alternative == "a-greater":
+        p = p_greater
+    elif alternative == "a-less":
+        p = p_less
+    else:
+        p = min(1.0, 2.0 * min(p_less, p_greater))
     return TestReport("wilcoxon-signed-rank", v, float(p), alternative, n)
 
 
@@ -258,25 +248,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < fpmin:
+                d = fpmin
+            c = 1.0 + aa / c
+            if abs(c) < fpmin:
+                c = fpmin
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 3e-16:
             break
     return h

@@ -5,7 +5,8 @@ cannot hold (non-finite features, no rows); what it can hold is rejected by the
 first consumer that cannot use it: ``dca.preprocess`` (a constant feature, a
 single class) or ``svm.train`` (a single class).  Score series get the same
 treatment: building one rejects non-finite scores, no rows and bad truths, and
-``make_threshold_grid`` rejects all-zero scores.
+``make_threshold_grid`` rejects all-zero scores.  Building a DCA signal series
+rejects non-finite signals, no rows and safe and danger of different lengths.
 """
 
 import time
@@ -52,6 +53,14 @@ SCORE_DEFECTS = {
     "no rows": ("score series must be nonempty", ()),
     "truth 0": (r"truth labels -1 or \+1", ()),
     "all-zero scores": ("all scores are zero", (filters,)),
+}
+
+SIGNAL_DEFECTS = {
+    "nan": (r"(safe|danger) signal is nan at time index \d+", ()),
+    "inf": (r"(safe|danger) signal is inf at time index \d+", ()),
+    "-inf": (r"(safe|danger) signal is -inf at time index \d+", ()),
+    "no rows": ("signals must be nonempty", ()),
+    "lengths differ": ("arrays of equal length", ()),
 }
 
 
@@ -128,3 +137,24 @@ class TestBadScores:
             scores[:] = 0.0
         pattern, consumers = SCORE_DEFECTS[defect]
         assert_rejected(lambda: ScoreSeries(scores, truths), consumers, pattern)
+
+
+class TestBadSignals:
+    @given(
+        st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40),
+        st.sampled_from(sorted(SIGNAL_DEFECTS)),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_defect_is_named_within_a_second(self, pairs, defect, data):
+        safe, danger = np.array(pairs).T
+        row = data.draw(st.integers(0, len(safe) - 1), "row")
+        if defect in ("nan", "inf", "-inf"):
+            data.draw(st.sampled_from([safe, danger]), "signal")[row] = float(defect)
+        elif defect == "no rows":
+            safe, danger = safe[:0], danger[:0]
+        else:
+            danger = np.delete(danger, row)
+        mapping = dca.SignalMapping(np.array([1.0, 0.0]), 0, False)
+        pattern, consumers = SIGNAL_DEFECTS[defect]
+        assert_rejected(lambda: dca.SignalSeries(safe, danger, mapping), consumers, pattern)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from windowlab.datagen import (
+    Dataset,
     GeneratorConfig,
     InstanceSeries,
     centroid_distance,
     generate_benchmark_suite,
-    generate_dataset,
     quarter_labels,
     suite_member_seed,
     write_dataset_csv,
@@ -42,12 +42,12 @@ class TestConfigValidation:
 
 class TestQuarterStructure:
     def test_eight_instance_label_pattern(self):
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=1, n_train=8, n_test=8))
+        ds = Dataset(GeneratorConfig(class2_mean=0.5, seed=1, n_train=8, n_test=8))
         assert list(ds.train.labels) == [-1, -1, 1, 1, -1, -1, 1, 1]
         assert list(ds.test.labels) == [-1, -1, 1, 1, -1, -1, 1, 1]
 
     def test_label_balance(self):
-        ds = generate_dataset(small_config())
+        ds = Dataset(small_config())
         for split in (ds.train, ds.test):
             assert int((split.labels == 1).sum()) == len(split) // 2
             assert int((split.labels == -1).sum()) == len(split) // 2
@@ -59,13 +59,13 @@ class TestQuarterStructure:
 
 class TestSampling:
     def test_bit_identical_for_equal_configs(self):
-        a = generate_dataset(small_config())
-        b = generate_dataset(small_config())
+        a = Dataset(small_config())
+        b = Dataset(small_config())
         assert np.array_equal(a.train.features, b.train.features)
         assert np.array_equal(a.test.features, b.test.features)
 
     def test_reading_test_first_gives_the_same_bytes(self):
-        usual, reversed_ = generate_dataset(small_config()), generate_dataset(small_config())
+        usual, reversed_ = Dataset(small_config()), Dataset(small_config())
         first = (usual.train, usual.test)
         test, train = reversed_.test, reversed_.train
         for a, b in zip(first, (train, test)):
@@ -73,18 +73,18 @@ class TestSampling:
             assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_splits_are_drawn_once(self):
-        ds = generate_dataset(small_config())
+        ds = Dataset(small_config())
         assert ds.train is ds.train and ds.test is ds.test
 
     def test_different_seeds_differ(self):
-        a = generate_dataset(small_config(seed=1))
-        b = generate_dataset(small_config(seed=2))
+        a = Dataset(small_config(seed=1))
+        b = Dataset(small_config(seed=2))
         assert not np.array_equal(a.train.features, b.train.features)
 
     def test_class_conditional_means(self):
         # Law of large numbers: per-feature sample means land within
         # ~3 * stddev / sqrt(n_class) of the nominal means.
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.8, seed=5))
+        ds = Dataset(GeneratorConfig(class2_mean=0.8, seed=5))
         feats, labs = ds.train.features, ds.train.labels
         tol = 0.01
         for j in range(2):
@@ -168,11 +168,11 @@ class TestBenchmarkSuite:
 
 class TestCentroidDistance:
     def test_identical_distributions_near_zero(self):
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.2, seed=2))
+        ds = Dataset(GeneratorConfig(class2_mean=0.2, seed=2))
         assert centroid_distance(ds.train, ds.test) < 3 * 0.1 * math.sqrt(2 / 1000) * 3
 
     def test_nominal_separated_distance(self):
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.8, seed=2))
+        ds = Dataset(GeneratorConfig(class2_mean=0.8, seed=2))
         assert centroid_distance(ds.train, ds.test) == pytest.approx(0.6 * math.sqrt(2), abs=0.02)
 
     @pytest.mark.parametrize(
@@ -182,11 +182,11 @@ class TestCentroidDistance:
         # The nominal centroid distance is sqrt(2) * (class2 - class1); the
         # empirical one should track it within sampling noise.
         assert math.sqrt(2) * delta == pytest.approx(expected, abs=0.005)
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.2 + delta, seed=4))
+        ds = Dataset(GeneratorConfig(class2_mean=0.2 + delta, seed=4))
         assert centroid_distance(ds.train, ds.test) == pytest.approx(expected, abs=0.02)
 
     def test_single_class_rejected(self):
-        ds = generate_dataset(small_config(n_train=8, n_test=8))
+        ds = Dataset(small_config(n_train=8, n_test=8))
         anomalous = ds.train.labels == 1
         lop = InstanceSeries(ds.train.features[anomalous], ds.train.labels[anomalous])
         with pytest.raises(ValueError, match="label"):
@@ -210,7 +210,7 @@ class TestInstanceSeries:
             InstanceSeries(feats, np.array([-1, -1, 1, 1]))
 
     def test_labels_are_read_only_bytes(self):
-        series = generate_dataset(small_config(n_train=8, n_test=8)).train
+        series = Dataset(small_config(n_train=8, n_test=8)).train
         assert series.labels.dtype == np.int8
         assert not series.labels.flags.writeable
         assert series.labels.tolist() == quarter_labels(8).tolist()
@@ -225,7 +225,7 @@ class TestInstanceSeries:
     def test_in_place_nan_write_rejected(self):
         # A writeable block would let this NaN past the constructor's check:
         # the solver then ran every pair update, and preprocess made it the danger signal.
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=8))
+        ds = Dataset(GeneratorConfig(class2_mean=0.5, seed=8))
         with pytest.raises(ValueError, match="read-only"):
             ds.train.features[417, 1] = np.nan
         with pytest.raises(ValueError, match="read-only"):
@@ -244,7 +244,7 @@ class TestInstanceSeries:
 
 class TestCsv:
     def test_round_trip_and_naming(self, tmp_path):
-        ds = generate_dataset(small_config(n_train=8, n_test=8))
+        ds = Dataset(small_config(n_train=8, n_test=8))
         train_path, test_path = write_dataset_csv(ds, tmp_path, "demo", 3)
         assert train_path.name == "demo_3_train.csv"
         assert test_path.name == "demo_3_test.csv"

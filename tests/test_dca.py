@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from windowlab.datagen import GeneratorConfig, InstanceSeries, generate_dataset
+from windowlab.datagen import Dataset, GeneratorConfig, InstanceSeries
 from windowlab.dca import (
     DCAPopulation,
     DegenerateSignalError,
@@ -61,7 +61,7 @@ class TestPreprocess:
 
     def test_safe_signal_inverted_when_positively_correlated(self):
         # Both features rise with anomalies, so the safe one must be flipped.
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.8, seed=3, n_train=200, n_test=200))
+        ds = Dataset(GeneratorConfig(class2_mean=0.8, seed=3, n_train=200, n_test=200))
         sig = preprocess(ds.test)
         assert sig.mapping.safe_inverted
         anomalous = ds.test.labels == 1
@@ -69,7 +69,7 @@ class TestPreprocess:
         assert sig.safe[anomalous].mean() < sig.safe[~anomalous].mean()
 
     def test_signals_stay_in_unit_interval(self):
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=4, n_train=200, n_test=200))
+        ds = Dataset(GeneratorConfig(class2_mean=0.5, seed=4, n_train=200, n_test=200))
         sig = preprocess(ds.test)
         for values in (sig.safe, sig.danger):
             assert values.min() >= 0.0 and values.max() <= 1.0
@@ -152,6 +152,10 @@ class TestLifespans:
             DCAPopulation((DendriticCell(1.0), DendriticCell(1.0)))
         with pytest.raises(ValueError, match="positive"):
             DCAPopulation((DendriticCell(0.0),))
+        # NaN compares False both ways, so a NaN cell would otherwise pass and vote over one window.
+        for spans in ([np.nan], [1.0, np.nan], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="positive and strictly increasing"):
+                DCAPopulation.from_lifespans(spans)
 
 
 class TestRunDca:
@@ -265,7 +269,7 @@ class TestRunDca:
     @pytest.mark.parametrize("lam", [1.0, 100.0])
     def test_memory_is_one_cell_at_a_time(self, lam):
         # 1,000 instances, 100 cells: a cells x n end table would alone exceed the bound.
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=12))
+        ds = Dataset(GeneratorConfig(class2_mean=0.5, seed=12))
         sig = preprocess(ds.test)
         pop = DCAPopulation.from_lifespans(init_lifespans(sig, 100, lam))
         tracemalloc.start()
@@ -302,6 +306,5 @@ class TestRunDca:
         assert set(labels) == {expected}
 
     def test_empty_series_rejected(self):
-        sig = signals_from([], [])
-        with pytest.raises(ValueError, match="empty"):
-            run_dca(sig, DCAPopulation.from_lifespans([1.0]))
+        with pytest.raises(ValueError, match="nonempty"):
+            signals_from([], [])

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from reference_fixtures import PAIRED_T_FIXTURES, SHAPIRO_FIXTURES, WILCOXON_FIXTURES
 from windowlab.stats import (
     DegenerateSampleError,
+    EXACT_LIMIT,
     PairedSample,
     TestReport,
+    _betainc,
     choose_test,
     paired_t_test,
     shapiro_wilk,
@@ -199,6 +201,116 @@ class TestReportShape:
             PairedSample(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError, match="at least 2"):
             PairedSample(np.zeros(1), np.zeros(1))
+
+
+# Bytes the 20-dataset golden digests do not reach: the normal Wilcoxon branch
+# at each continuity-correction case (v - mu of 0, +-0.5, and far from 0, with
+# zeros and tied magnitudes), the paired t test at t of both signs, and the
+# incomplete beta on both sides of its continued fraction's switch.  Expected
+# values are the reprs of the results, so any change of rounding fails.
+NORMAL_BRANCH_CASES = [
+    (
+        "v - mu = 0",
+        [-2, 2, -3, 1, 1, -4, -3, 2, 3, 1, 3, -3, -2, 3, -4, 1, 1, 0, -1, 4, 4, -3, 1, -3,
+         -3, 4, 1],
+        175.5, 26,
+        {"two-sided": 1.0, "a-less": 0.5051145045120904, "a-greater": 0.5051145045120904},
+    ),
+    (
+        "v - mu = +0.5",
+        [-1, 1, 3, -4, -2, -1, -2, 3, 2, 4, 3, -3, 3, 2, -2, -1, 0, -1, -1, 3, 2, 2, -2, -4,
+         3, 1, 2, -2, -3, -1, -2, -4, -1, 1],
+        281.0, 33,
+        {"two-sided": 1.0, "a-less": 0.5071969650875351, "a-greater": 0.5},
+    ),
+    (
+        "v - mu = -0.5",
+        [4, 2, -3, -4, 4, 3, 1, -2, 3, -4, 1, -1, 3, 2, -2, 3, 2, -2, -2, -1, 0, -2, 2, 0,
+         -3, 2, -4, 4, 3, -4, 3, -2, 1, -2, -2, -4, 1],
+        314.5, 35,
+        {"two-sided": 1.0, "a-less": 0.5, "a-greater": 0.5065970543072899},
+    ),
+    (
+        "v - mu = +161.5",
+        [-1, -1, 3, 1, 2, 2, 3, -1, 1, -1, 1, 4, 2, -1, 2, -1, 3, 4, 4, 2, 4, 1, -1, 2, 1,
+         2, 4, 0, 4, -1],
+        379.0, 29,
+        {
+            "two-sided": 0.0004171452887625425,
+            "a-less": 0.9998080502537873,
+            "a-greater": 0.00020857264438127124,
+        },
+    ),
+    (
+        "v - mu = -193.5",
+        [-1, -4, -4, -2, -1, -4, -1, 1, -4, -4, 1, -3, 1, -2, 0, -4, -1, 1, -2, -1, -3, -4,
+         -4, -2, -1, -4, -3, -1, -2, -3],
+        24.0, 29,
+        {
+            "two-sided": 2.4522920948269353e-05,
+            "a-less": 1.2261460474134676e-05,
+            "a-greater": 0.9999888740437356,
+        },
+    ),
+]
+
+PAIRED_T_CASES = [
+    (
+        [0.3, 0.82, 0.67, 0.66, 1.11, -0.3, -0.01, -0.36, 0.25, 0.8, 0.29, 0.55],
+        [-0.96, 0.07, -0.45, 0.89, 0.44, 0.47, -0.03, 0.31, 0.33, -0.17, -0.25, -0.06],
+        1.7769863153912433,
+        {
+            "two-sided": 0.10319694980796278,
+            "a-less": 0.9484015250960186,
+            "a-greater": 0.05159847490398139,
+        },
+    ),
+    (
+        [-0.6, -0.6, -0.44, -0.66, 0.08, -1.1, 0.11, -0.61, -0.57, -0.98, -0.37, -0.42],
+        [0.1, -0.27, 0.05, 0.91, 0.2, -0.29, 0.48, -0.06, 0.3, 0.31, -0.2, -0.97],
+        -3.4877393244139068,
+        {
+            "two-sided": 0.005078741770066676,
+            "a-less": 0.0025393708850333097,
+            "a-greater": 0.9974606291149667,
+        },
+    ),
+]
+
+# (a, b, x, I_x(a, b)); the continued fraction runs on x itself below
+# (a + 1) / (a + b + 2) and on 1 - x with a and b swapped above it.
+BETAINC_CASES = [
+    (2.0, 3.0, 0.1, 0.052300000000000006),
+    (2.0, 3.0, 0.9, 0.9963),
+    (5.5, 0.5, 0.3, 0.0003627229394850507),
+    (5.5, 0.5, 0.95, 0.4627244947100456),
+    (49.5, 0.5, 0.5, 1.4071987346331853e-16),
+    (49.5, 0.5, 0.999, 0.7535759596102161),
+]
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize(
+        "name,diffs,v,n,pvals", NORMAL_BRANCH_CASES, ids=[c[0] for c in NORMAL_BRANCH_CASES]
+    )
+    def test_wilcoxon_normal_branch(self, name, diffs, v, n, pvals):
+        assert n > EXACT_LIMIT
+        sample = paired(diffs, np.zeros(len(diffs)))
+        for alternative, p in pvals.items():
+            report = wilcoxon_signed_rank(sample, alternative)
+            got = (repr(report.statistic), repr(report.p_value), report.n_effective)
+            assert got == (repr(v), repr(p), n), f"{name}/{alternative}"
+
+    @pytest.mark.parametrize("a,b,t,pvals", PAIRED_T_CASES)
+    def test_paired_t(self, a, b, t, pvals):
+        for alternative, p in pvals.items():
+            report = paired_t_test(paired(a, b), alternative)
+            got = (repr(report.statistic), repr(report.p_value))
+            assert got == (repr(t), repr(p)), alternative
+
+    @pytest.mark.parametrize("a,b,x,expected", BETAINC_CASES)
+    def test_betainc(self, a, b, x, expected):
+        assert repr(_betainc(a, b, x)) == repr(expected)
 
 
 @given(

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import qp_reference, smo_train
 from windowlab.datagen import (
+    Dataset,
     GeneratorConfig,
     InstanceSeries,
     generate_benchmark_suite,
-    generate_dataset,
 )
 from windowlab.harness import ExperimentConfig
 from windowlab.svm import (
@@ -81,7 +81,7 @@ class TestTrainBasics:
     def test_rejects_a_c_that_is_not_finite_by_name(self, C):
         # With C = inf the solver used to stall through 10,000 updates and
         # raise a ConvergenceError that did not name C.
-        split = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=8)).train
+        split = Dataset(GeneratorConfig(class2_mean=0.5, seed=8)).train
         with pytest.raises(ValueError, match=f"C must be positive and finite, got {C}"):
             train(split, C)
 
@@ -112,7 +112,7 @@ class TestTrainBasics:
         # A finite but huge feature overflows the kernel products: the gap is
         # NaN from the first update on, and once it read -inf (update 501) it
         # passed as converged and train returned NaN weights without an error.
-        ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=8))
+        ds = Dataset(GeneratorConfig(class2_mean=0.5, seed=8))
         feats = ds.train.features.copy()
         feats[0, 0] = 1e200
         start = time.perf_counter()
@@ -137,7 +137,7 @@ class TestDualConstraints:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equality_box_and_representer(self, seed):
         cfg = GeneratorConfig(class2_mean=0.4, seed=seed, n_train=200, n_test=200)
-        ds = generate_dataset(cfg)
+        ds = Dataset(cfg)
         model = train(ds.train, C=1.0)
         y = ds.train.labels
         assert abs(float(np.sum(model.alphas * y))) <= EQ_TOL
@@ -147,7 +147,7 @@ class TestDualConstraints:
 
     def test_kkt_residuals_within_tolerance(self):
         cfg = GeneratorConfig(class2_mean=0.4, seed=9, n_train=400, n_test=400)
-        ds = generate_dataset(cfg)
+        ds = Dataset(cfg)
         tol = 1e-3
         model = train(ds.train, C=1.0, tol=tol)
         margins = ds.train.labels * (ds.train.features @ model.w + model.b)
@@ -368,7 +368,7 @@ class TestScoreSeries:
 
     def test_sign_matches_predict(self):
         cfg = GeneratorConfig(class2_mean=0.5, seed=8, n_train=80, n_test=80)
-        ds = generate_dataset(cfg)
+        ds = Dataset(cfg)
         model = train(ds.train, C=1.0)
         out = score_series(model, ds.test)
         for score, x in zip(out.scores, ds.test.features):
@@ -376,7 +376,7 @@ class TestScoreSeries:
 
     def test_truths_copied_in_order(self):
         cfg = GeneratorConfig(class2_mean=0.5, seed=8, n_train=80, n_test=80)
-        ds = generate_dataset(cfg)
+        ds = Dataset(cfg)
         out = score_series(train(ds.train, C=1.0), ds.test)
         assert np.array_equal(out.truths, ds.test.labels)
 
@@ -402,7 +402,7 @@ class TestScoreSeries:
 
 def test_train_rejects_nan_feature_fast():
     # Without the check the NaN gap never closes and the solver runs every pair update.
-    ds = generate_dataset(GeneratorConfig(class2_mean=0.5, seed=8))
+    ds = Dataset(GeneratorConfig(class2_mean=0.5, seed=8))
     feats = ds.train.features.copy()
     feats[417, 1] = np.nan
     start = time.perf_counter()

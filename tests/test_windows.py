@@ -776,3 +776,22 @@ def test_oracles_import_nothing_from_the_package():
         elif isinstance(node, ast.ImportFrom):
             modules.append("." * node.level + (node.module or ""))
     assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "windowlab"]
+
+
+def test_package_modules_use_every_name_they_import():
+    # The project runs no linter, so an import left behind by a deletion would go unseen.
+    unused = []
+    for path in sorted(Path(windows.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert not unused
