@@ -67,6 +67,10 @@ class SignalSeries:
             raise ValueError("safe and danger signals must be nonempty 1-d arrays of equal length")
         require_finite(safe, "safe signal")
         require_finite(danger, "danger signal")
+        for name, values in (("safe", safe), ("danger", danger)):
+            if (out := np.flatnonzero((values < 0.0) | (values > 1.0))).size:
+                raise ValueError(f"{name} signal is {values[out[0]]} at time index {out[0] + 1}; "
+                                 "must be in [0, 1]")
         object.__setattr__(self, "safe", safe)
         object.__setattr__(self, "danger", danger)
 
@@ -155,9 +159,11 @@ def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> np.ndarr
 
     # Range-add votes cell by cell, closings first: a window-by-window walk's add order.
     vote_diff, lifespans = np.zeros(n + 1), [c.lifespan for c in population.cells]
+    prev = None
     for edges, starts in budget_walk(np.cumsum(csm), lifespans, "left"):
-        c = cum_k[edges]
-        votes = c[1:] - c[:-1]
+        if edges is not prev:  # a lane yielded again (one lane, never zeroed) keeps its votes
+            c, prev = cum_k[edges], edges
+            votes = c[1:] - c[:-1]
         if len(starts) == 1:  # a lane's edges are distinct: gather, update, scatter
             d = vote_diff[edges]
             d[1:] -= votes

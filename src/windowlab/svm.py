@@ -11,8 +11,9 @@ gradient-based rule: the most violating index from the "can increase" set is
 paired with the most violating index from the "can decrease" set; numpy's
 argmax/argmin resolve ties toward the lowest index, which makes training
 deterministic for a fixed instance order.  Each set is a vector of candidate
-biases (-inf/+inf outside it), which updates edit in place.  An update's pair
-scalars (gap, step, the two alphas) are Python floats, which round as numpy's.
+biases (-inf/+inf outside it): the two are rows of one array, which updates
+shift in one call and edit in place; a unit step is not multiplied.  An update's
+pair scalars (gap, step, the two alphas) are Python floats, rounding as numpy's.
 
 Scores downstream are the signed perpendicular distance to the learned
 hyperplane, ``(<w, x> + b) / ||w||``, so they are invariant to a positive
@@ -103,7 +104,8 @@ def train(
     sq_norms = np.einsum("ij,ij->i", X, X)
     # Candidate bias (-y * gradient of 1/2 a'Qa - 1'a) where y * alpha may rise
     # (fall), -inf (+inf) where not; alphas start at 0 and the bias at y.
-    up, low = np.where(y > 0, y, -np.inf), np.where(y > 0, np.inf, y)
+    up, low = bounds = np.array((y, y))
+    up[y < 0], low[y > 0] = -np.inf, np.inf
     col_i, col_j = np.empty(n), np.empty(n)
     y_at, alpha_at, sq_norm_at = y.item, alphas.item, sq_norms.item
     up_at, low_at, up_argmax, low_argmin = up.item, low.item, up.argmax, low.argmin
@@ -141,9 +143,9 @@ def train(
         np.matmul(X, xi, out=col_i)
         np.matmul(X, xj, out=col_j)
         col_i -= col_j
-        col_i *= t
-        up -= col_i
-        low -= col_i
+        if t != 1.0:  # x * 1.0 == x for every float
+            col_i *= t
+        bounds -= col_i
         # The gap was finite, so i is in the up set and j in the low set (a test
         # by value before the subtraction agrees); read their biases from those.
         # It exceeded tol >= 0, so i != j: an index in both sets has one bias.

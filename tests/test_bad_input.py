@@ -6,7 +6,8 @@ first consumer that cannot use it: ``dca.preprocess`` (a constant feature, a
 single class) or ``svm.train`` (a single class).  Score series get the same
 treatment: building one rejects non-finite scores, no rows and bad truths, and
 ``make_threshold_grid`` rejects all-zero scores.  Building a DCA signal series
-rejects non-finite signals, no rows and safe and danger of different lengths.
+rejects non-finite signals, no rows, safe and danger of different lengths
+and signals outside [0, 1].
 """
 
 import time
@@ -22,6 +23,8 @@ from windowlab.svm import ScoreSeries, score_series, train
 from windowlab.windows import default_size_grid, make_threshold_grid, tune_dynamic, tune_static
 
 FINITE = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
+UNIT = st.floats(min_value=0, max_value=1)  # a valid signal
+OUTSIDE_UNIT = st.floats(-10, -1e-12) | st.floats(1 + 1e-12, 10)
 
 
 def filters(scores: ScoreSeries) -> None:
@@ -61,6 +64,7 @@ SIGNAL_DEFECTS = {
     "-inf": (r"(safe|danger) signal is -inf at time index \d+", ()),
     "no rows": ("signals must be nonempty", ()),
     "lengths differ": ("arrays of equal length", ()),
+    "outside [0, 1]": (r"(safe|danger) signal is \S+ at time index \d+; must be in \[0, 1\]", ()),
 }
 
 
@@ -141,7 +145,7 @@ class TestBadScores:
 
 class TestBadSignals:
     @given(
-        st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40),
+        st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=40),
         st.sampled_from(sorted(SIGNAL_DEFECTS)),
         st.data(),
     )
@@ -153,6 +157,9 @@ class TestBadSignals:
             data.draw(st.sampled_from([safe, danger]), "signal")[row] = float(defect)
         elif defect == "no rows":
             safe, danger = safe[:0], danger[:0]
+        elif defect == "outside [0, 1]":
+            value = data.draw(OUTSIDE_UNIT, "value")
+            data.draw(st.sampled_from([safe, danger]), "signal")[row] = value
         else:
             danger = np.delete(danger, row)
         mapping = dca.SignalMapping(np.array([1.0, 0.0]), 0, False)

@@ -249,6 +249,21 @@ class TestRunDca:
         expected = oracles.dca_vote_sums(safe, danger, lifespans)
         assert vote_sums.tobytes() == expected.tobytes()
 
+    def test_lane_yielded_again_keeps_the_window_by_window_bytes(self):
+        """csm is 0.5 everywhere, so a budget step of 1/6 moves no window end
+        twice in three: the walk yields the previous lane again, whose votes are
+        reused and still added once per cell."""
+        rng = np.random.default_rng(41)
+        safe = rng.integers(0, 5, 120) / 8.0
+        danger = 0.5 - safe
+        sig = signals_from(safe, danger)
+        lifespans = init_lifespans(sig, 30, 10.0)
+        walk = [edges for edges, _ in budget_walk(np.cumsum(safe + danger), lifespans, "left")]
+        assert sum(a is b for a, b in zip(walk, walk[1:])) == 16
+        vote_sums = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
+        expected = oracles.dca_vote_sums(safe, danger, lifespans)
+        assert vote_sums.tobytes() == expected.tobytes()
+
     def test_tiny_lifespan_finishes_with_singleton_windows(self):
         # cum_csm + 1e-17 rounds back to cum_csm, so without the [start, n-1]
         # clip the walk would step backwards forever.
@@ -308,3 +323,12 @@ class TestRunDca:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             signals_from([], [])
+
+    def test_signal_outside_unit_interval_rejected_after_non_finite(self):
+        # A negative signal can make csm negative, and the budget walk assumes
+        # csm never falls; a non-finite signal is still named first.
+        out = r"danger signal is -3.0 at time index 2; must be in \[0, 1\]"
+        with pytest.raises(ValueError, match=out):
+            signals_from([0.2, 0.2, 0.2, 0.2], [0.1, -3.0, 0.3, 0.4])
+        with pytest.raises(ValueError, match="danger signal is nan at time index 3"):
+            signals_from([0.2, 1.5, 0.2, 0.2], [0.1, 0.2, np.nan, 0.4])

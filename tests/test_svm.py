@@ -272,7 +272,7 @@ class TestInPlaceSolverParity:
     @settings(max_examples=100, deadline=None)
     @given(
         split=small_splits(),
-        C=st.floats(0.05, 100.0),
+        C=st.one_of(st.just(1.0), st.floats(0.05, 100.0)),  # t == 1 is the skipped multiply
         tol=st.sampled_from([1e-3, 1e-6]),
         # Wide, overlapping draws at large C can need over a million updates;
         # the cap keeps the test fast and compares the ConvergenceError path.
@@ -300,6 +300,21 @@ class TestInPlaceSolverParity:
         # (X @ X[i])[j] round apart for a selected pair: an eta read from the
         # kernel column moves the model's bytes.
         self.assert_same_outcome(feats, labels, 1.0)
+
+    @pytest.mark.parametrize("C, spread, first_t", [
+        (1.0, 0.1, 1.0),  # the room clips t to 1: the step is not multiplied
+        (0.5, 0.1, 0.5),  # clipped below 1: the step is multiplied
+        (1.0, 3.0, None),  # t = gap / eta, unclipped
+    ])
+    def test_both_step_branches(self, C, spread, first_t):
+        rng = np.random.default_rng(21)
+        labels = np.tile([-1, 1], 30)
+        feats = rng.normal(0.0, spread, (60, 2)) + spread * labels[:, None]
+        # Every bias starts at its label, so the first pair is rows 1 and 0, with gap 2.
+        xi, xj = feats[1], feats[0]
+        t = min(2.0 / (xi @ xi + xj @ xj - 2.0 * xi @ xj), C)
+        assert t == first_t if first_t else t < C
+        self.assert_same_outcome(feats, labels, C)
 
     def test_heaviest_long_series_split(self):
         # The long-series benchmark workload's slowest training split (4,477
@@ -413,8 +428,8 @@ def test_train_rejects_nan_feature_fast():
 
 def test_solver_memory_is_under_eight_vectors():
     # The long-series workload's heaviest split (n = 8,000). The solver needs 7
-    # n-vectors and a mask (the weights reuse a kernel-column buffer); a hashed
-    # np.unique of the labels would take about 19.
+    # n-vectors, the (2, n) bounds pair counting as two, and a mask (the weights
+    # reuse a kernel-column buffer); a hashed np.unique of the labels would take about 19.
     cfg = ExperimentConfig(seed=20260808, n_datasets=40, n_train=8000, n_test=8000)
     train_split = generate_benchmark_suite(40, cfg.base_generator_config(), cfg.seed)[2].train
     tracemalloc.start()
