@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .datagen import centroid_distance, generate_benchmark_suite, write_dataset_csv
+from .datagen import centroid_distance, write_dataset_csv
 from .freq import write_gain_sweeps
 from .harness import ALL_METHODS, ExperimentConfig, Method
 
@@ -112,10 +112,9 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
 def _cmd_generate(settings: dict) -> int:
     cfg = _experiment_config(settings)
     out = Path(settings["out"])
-    suite = generate_benchmark_suite(cfg.n_datasets, cfg.base_generator_config(), cfg.seed)
-    for index, dataset in enumerate(suite):
+    for index, dataset in enumerate(cfg.datasets()):  # each freed once written
         write_dataset_csv(dataset, out, settings["name"], index)
-    print(f"wrote {2 * len(suite)} dataset files to {out}")
+    print(f"wrote {2 * cfg.n_datasets} dataset files to {out}")
     return 0
 
 
@@ -145,8 +144,7 @@ def _cmd_analyze(settings: dict) -> int:
         )
     # The table stores each dataset's centroid distance by repr, so the suite
     # of these settings reproduces it exactly or is not the suite run used.
-    suite = generate_benchmark_suite(cfg.n_datasets, cfg.base_generator_config(), cfg.seed)
-    expected = {k: centroid_distance(ds.train, ds.test) for k, ds in enumerate(suite)}
+    expected = {k: centroid_distance(ds.train, ds.test) for k, ds in enumerate(cfg.datasets())}
     for index, stored in zip(results.dataset_indexes(), results.distances().tolist()):
         if stored != expected.get(index):
             raise ValueError(

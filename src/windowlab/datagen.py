@@ -184,15 +184,10 @@ def generate_benchmark_suite(
     if seed < 0:
         raise ValueError(f"suite seed must be >= 0, got {seed}")
     step = SWEEP_WIDTH / (n_datasets - 1)
-    suite = []
-    for k in range(n_datasets):
-        cfg = replace(
-            base,
-            class2_mean=CLASS1_MEAN + k * step,
-            seed=suite_member_seed(seed, k),
-        )
-        suite.append(Dataset(cfg))
-    return suite
+    return [
+        Dataset(replace(base, class2_mean=CLASS1_MEAN + k * step, seed=suite_member_seed(seed, k)))
+        for k in range(n_datasets)
+    ]
 
 
 def centroid_distance(train: InstanceSeries, test: InstanceSeries) -> float:
@@ -208,15 +203,11 @@ def centroid_distance(train: InstanceSeries, test: InstanceSeries) -> float:
     return float(np.linalg.norm(out[1] - out[0]))
 
 
-def _series_header(n_features: int) -> list[str]:
-    return ["time_index"] + [f"f{j + 1}" for j in range(n_features)] + ["label"]
-
-
 def write_series_csv(series: InstanceSeries, path: Path) -> Path:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_series_header(series.n_features))
+        writer.writerow(["time_index", *(f"f{j + 1}" for j in range(series.n_features)), "label"])
         for i, (row, lab) in enumerate(zip(series.features, series.labels)):
             writer.writerow([i + 1] + [repr(float(v)) for v in row] + [int(lab)])
     return path

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cached_property
 from itertools import combinations, product
 from pathlib import Path
 
@@ -79,6 +80,7 @@ ORDERING_CANDIDATES = (Method.SMOV, Method.DMOV2, Method.DCA1, Method.LNC)
 
 _LOW_SCALE = {Method.DMOV1, Method.DCA1}
 _HIGH_SCALE = {Method.DMOV2, Method.DCA2}
+_DCA = {Method.DCA1, Method.DCA2}
 
 
 @dataclass(frozen=True)
@@ -114,12 +116,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {size}")
 
     def base_generator_config(self) -> GeneratorConfig:
-        return GeneratorConfig(
-            class2_mean=CLASS1_MEAN,
-            seed=0,
-            n_train=self.n_train,
-            n_test=self.n_test,
-        )
+        return GeneratorConfig(class2_mean=CLASS1_MEAN, seed=0,
+                               n_train=self.n_train, n_test=self.n_test)
+
+    def datasets(self) -> Iterator[Dataset]:
+        """The suite's datasets in order, each dropped from the suite when yielded:
+        a caller that lets go of each in turn holds one dataset's splits at a time."""
+        suite = generate_benchmark_suite(self.n_datasets, self.base_generator_config(), self.seed)
+        while suite:
+            yield suite.pop(0)
 
     def scale_for(self, method: Method) -> float:
         if method in _LOW_SCALE:
@@ -131,8 +136,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (dataset, method) cell; ``model`` is the trained classifier behind
-    an SVM-scored method (None for the DCA and for a table read back from CSV)."""
+    """One (dataset, method) cell; ``model`` is an SVM-scored method's classifier,
+    None for the DCA, in ``run_experiment``'s table and in a table read from CSV."""
 
     dataset_index: int
     centroid_distance: float
@@ -142,54 +147,65 @@ class ResultRow:
     model: svm_mod.LinearModel | None = field(default=None, compare=False, repr=False)
 
 
-def _run_dataset(
-    index: int, dataset: Dataset, config: ExperimentConfig
-) -> dict[Method, ResultRow]:
-    """Every configured method on one dataset.  The model, each split's scores
-    and the DCA signals are computed at most once, and only if a method needs
-    them; the cached objects are the ones passed on."""
-    distance = centroid_distance(dataset.train, dataset.test)
+class DatasetInputs:
+    """One dataset's inputs shared by its methods, each computed on first read:
+    the model, each split's scores and the DCA signals of the test split."""
 
-    @cache
-    def model() -> svm_mod.LinearModel:
-        return svm_mod.train(dataset.train, C=config.svm_c)
+    def __init__(self, train: InstanceSeries, test: InstanceSeries, svm_c: float) -> None:
+        self.train, self.test, self.svm_c = train, test, svm_c
 
-    @cache
-    def scores(split: InstanceSeries) -> svm_mod.ScoreSeries:
-        return svm_mod.score_series(model(), split)
+    @cached_property
+    def model(self) -> svm_mod.LinearModel:
+        return svm_mod.train(self.train, C=self.svm_c)
 
-    @cache
-    def signals() -> dca.SignalSeries:
-        return dca.preprocess(dataset.test)
+    @cached_property
+    def train_scores(self) -> svm_mod.ScoreSeries:
+        return svm_mod.score_series(self.model, self.train)
 
-    def row(method: Method, labels: np.ndarray, tuned=None, fitted=None) -> ResultRow:
-        error = float(np.mean(labels != dataset.test.labels))
-        return ResultRow(index, distance, method, error, tuned, fitted)
+    @cached_property
+    def test_scores(self) -> svm_mod.ScoreSeries:
+        return svm_mod.score_series(self.model, self.test)
 
-    def run(method: Method) -> ResultRow:
-        if method is Method.LNC:
-            return row(method, windows.sign_labels(scores(dataset.test).scores), None, model())
-        if method is Method.SMOV:
-            sizes = windows.default_size_grid(config.window_grid)
-            tuned = windows.tune_static(scores(dataset.train), sizes)
-        elif method in (Method.DMOV1, Method.DMOV2):
-            grid = windows.make_threshold_grid(
-                scores(dataset.train), config.threshold_grid, config.scale_for(method)
-            )
-            tuned = windows.tune_dynamic(scores(dataset.train), grid)
-        else:  # DCA1, DCA2; scale_for rejects any other value
-            lam = config.scale_for(method)
-            lifespans = dca.init_lifespans(signals(), config.threshold_grid, lam)
-            return row(method, dca.run_dca(signals(), dca.DCAPopulation.from_lifespans(lifespans)))
-        labels = windows.apply(tuned, scores(dataset.test))
-        return row(method, labels, tuned.parameter, model())
+    @cached_property
+    def signals(self) -> dca.SignalSeries:
+        return dca.preprocess(self.test)
 
+
+def method_labels(method: Method, inputs: DatasetInputs, config: ExperimentConfig) -> tuple:
+    """The method's test labels and its tuned object: the ``TunedFilter`` of
+    SMOV and DMOV, the DCA's lifespan ladder, or None for LNC."""
+    if method is Method.LNC:
+        return windows.sign_labels(inputs.test_scores.scores), None
+    if method is Method.SMOV:
+        sizes = windows.default_size_grid(config.window_grid)
+        tuned = windows.tune_static(inputs.train_scores, sizes)
+    else:
+        lam = config.scale_for(method)  # DMOV and DCA; it rejects any other method
+        if method in _DCA:
+            lifespans = dca.init_lifespans(inputs.signals, config.threshold_grid, lam)
+            population = dca.DCAPopulation.from_lifespans(lifespans)
+            return dca.run_dca(inputs.signals, population), lifespans
+        grid = windows.make_threshold_grid(inputs.train_scores, config.threshold_grid, lam)
+        tuned = windows.tune_dynamic(inputs.train_scores, grid)
+    return windows.apply(tuned, inputs.test_scores), tuned
+
+
+def _run_dataset(index: int, dataset: Dataset, config: ExperimentConfig,
+                 keep_models: bool) -> dict[Method, ResultRow]:
+    """Every configured method's row on one dataset; an SVM-scored row carries
+    the model only if ``keep_models``, so otherwise it dies with the inputs."""
+    inputs = DatasetInputs(dataset.train, dataset.test, config.svm_c)
+    distance = centroid_distance(inputs.train, inputs.test)
     per_method = {}
     for method in config.methods:
         try:
-            per_method[method] = run(method)
+            labels, tuned = method_labels(method, inputs, config)
         except Exception as exc:
             raise RuntimeError(f"method {method} failed on dataset {index}: {exc}") from exc
+        error = float(np.mean(labels != inputs.test.labels))
+        parameter = tuned.parameter if isinstance(tuned, windows.TunedFilter) else None
+        model = inputs.model if keep_models and method not in _DCA else None
+        per_method[method] = ResultRow(index, distance, method, error, parameter, model)
     return per_method
 
 
@@ -272,23 +288,24 @@ class ResultsTable:
         return cls(tuple(rows))
 
 
-def run_experiment_detailed(
-    config: ExperimentConfig,
-) -> tuple[ResultsTable, list[dict[Method, ResultRow]]]:
-    """Run the whole suite, returning the table and its rows per dataset."""
-    suite = generate_benchmark_suite(
-        config.n_datasets, config.base_generator_config(), config.seed
-    )
-    # Splits are drawn when first read, and popping each dataset frees them as
-    # soon as its rows exist: a run holds one dataset's splits at a time.
-    details = [_run_dataset(index, suite.pop(0), config) for index in range(len(suite))]
+def _run_suite(config: ExperimentConfig, keep_models: bool) -> tuple[ResultsTable, list]:
+    details = [_run_dataset(k, ds, config, keep_models) for k, ds in enumerate(config.datasets())]
     rows = tuple(row for per_method in details for row in per_method.values())
     return ResultsTable(rows), details
 
 
+def run_experiment_detailed(
+    config: ExperimentConfig,
+) -> tuple[ResultsTable, list[dict[Method, ResultRow]]]:
+    """Run the whole suite, returning the table and its rows per dataset;
+    only these rows keep each SVM-scored method's model."""
+    return _run_suite(config, keep_models=True)
+
+
 def run_experiment(config: ExperimentConfig) -> ResultsTable:
-    """Fill every (dataset, method) cell of the benchmark."""
-    return run_experiment_detailed(config)[0]
+    """Fill every (dataset, method) cell of the benchmark.  No row keeps a
+    model, so each model is freed once its dataset's rows exist."""
+    return _run_suite(config, keep_models=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +483,9 @@ def emit_outputs(
     """Write error_rates.csv, stats_report.csv, gain_sweeps.csv and summary.txt."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
+    return {
         "error_rates": results.write_csv(out_dir / "error_rates.csv"),
         "stats_report": write_stats_report(report, out_dir / "stats_report.csv"),
         "gain_sweeps": freq.write_gain_sweeps(out_dir / "gain_sweeps.csv"),
         "summary": write_summary(report, config, out_dir / "summary.txt"),
     }
-    return paths

@@ -1,7 +1,9 @@
 import re
+import weakref
 
 import pytest
 
+from windowlab import cli, harness
 from windowlab.cli import _build_parser, _experiment_config, _resolve, main
 
 FAST = [
@@ -11,6 +13,26 @@ FAST = [
     "--window-grid", "10",
     "--threshold-grid", "10",
 ]
+
+
+def live_datasets_per_call(monkeypatch, name):
+    """Per call of the CLI's ``name``, how many datasets of the suite that
+    ``harness.generate_benchmark_suite`` returned are still alive."""
+    refs, alive = [], []
+    generate, reader = harness.generate_benchmark_suite, getattr(cli, name)
+
+    def tracked_suite(*args):
+        suite = generate(*args)
+        refs.extend(weakref.ref(ds) for ds in suite)
+        return suite
+
+    def counted(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return reader(*args)
+
+    monkeypatch.setattr(harness, "generate_benchmark_suite", tracked_suite)
+    monkeypatch.setattr(cli, name, counted)
+    return alive
 
 
 class TestGenerate:
@@ -27,6 +49,11 @@ class TestGenerate:
         ]
         assert "wrote 6 dataset files" in capsys.readouterr().out
 
+    def test_each_dataset_is_freed_once_written(self, tmp_path, monkeypatch):
+        alive = live_datasets_per_call(monkeypatch, "write_dataset_csv")
+        assert main(["generate", "--out", str(tmp_path), *FAST, "--datasets", "3"]) == 0
+        assert alive == [3, 2, 1]
+
 
 class TestRunAndAnalyze:
     def test_run_then_analyze(self, tmp_path, capsys):
@@ -36,6 +63,13 @@ class TestRunAndAnalyze:
         assert main(["analyze", "--seed", "9", "--out", str(out), *FAST]) == 0
         assert (out / "stats_report.csv").exists()
         assert (out / "summary.txt").exists()
+
+    def test_analyze_frees_each_dataset_once_its_distance_is_read(self, tmp_path, monkeypatch):
+        flags = ["--seed", "9", "--out", str(tmp_path), *FAST, "--datasets", "3"]
+        assert main(["run", *flags]) == 0
+        alive = live_datasets_per_call(monkeypatch, "centroid_distance")
+        assert main(["analyze", *flags]) == 0
+        assert alive == [3, 2, 1]
 
     def test_analyze_rejects_a_table_that_differs_from_the_settings(self, tmp_path, capsys):
         out = tmp_path / "exp"

@@ -184,23 +184,56 @@ class TestRunExperiment:
         assert freed == [True, True, True]
         assert [d[Method.LNC].model for d in details] == models
 
+    def test_run_experiment_frees_each_model_before_the_next_trains(self, monkeypatch):
+        from windowlab import harness as hmod
+
+        models, freed, train = [], [], svm.train
+
+        def tracked_train(series, **kwargs):
+            freed.append(all(ref() is None for ref in models))
+            model = train(series, **kwargs)
+            models.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(hmod.svm_mod, "train", tracked_train)
+        table = run_experiment(ExperimentConfig(seed=5, n_datasets=3, **SMALL))
+        assert freed == [True, True, True]
+        assert all(ref() is None for ref in models)
+        assert all(row.model is None for row in table.rows)
+
+    @staticmethod
+    def traced_peak(n_datasets, methods, **settings):
+        """tracemalloc's peak over one ``run_experiment`` of 8,000-instance splits."""
+        cfg = ExperimentConfig(seed=5, n_datasets=n_datasets, methods=methods,
+                               n_train=8000, n_test=8000, **settings)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_holds_one_dataset_of_splits_at_a_time(self):
         # Six 8,000-instance datasets against two: the peak may grow by less
         # than one split's feature block (128,000 B), where a suite drawn whole
-        # adds four datasets' splits (about 1.1 MB).  DCA2 alone keeps no model
-        # in its rows, so the retained dual weights (64,000 B each) stay out.
+        # adds four datasets' splits (about 1.1 MB).  It runs DCA2 alone because
+        # tables once kept every SVM model's dual weights (64,000 B each); the
+        # next test bounds the SVM path now that they do not.
         def peak(n_datasets):
-            cfg = ExperimentConfig(seed=5, n_datasets=n_datasets, methods=(Method.DCA2,),
-                                   n_train=8000, n_test=8000, threshold_grid=10)
-            tracemalloc.start()
-            try:
-                run_experiment(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return self.traced_peak(n_datasets, (Method.DCA2,), threshold_grid=10)
 
         peak(2)  # warm caches
         assert peak(6) - peak(2) < 16 * 8000
+
+    def test_peak_memory_keeps_no_model_past_its_dataset(self):
+        # LNC and SMOV on six 8,000-instance datasets against two: the peak may
+        # grow by less than one model's dual weights (64,000 B), where a table
+        # that keeps its models holds four more of them.
+        def peak(n_datasets):
+            return self.traced_peak(n_datasets, (Method.LNC, Method.SMOV), window_grid=10)
+
+        peak(2)  # warm caches
+        assert peak(6) - peak(2) < 8 * 8000
 
     def test_method_failure_names_method_and_dataset(self, monkeypatch):
         cfg = ExperimentConfig(seed=5, n_datasets=2, methods=(Method.DCA1,), **SMALL)
