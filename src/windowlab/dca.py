@@ -21,9 +21,9 @@ Their accumulate-and-reset behaviour gives each cell the same disjoint,
 contiguous, covering window structure as the dynamic moving-window filter, with
 csm as the score magnitude: each cell is one lane of edges from
 ``windows.budget_walk``, closing on reaching the lifespan where a dynamic
-window stays within its budget.  A cell's vote in a window is a difference of
-``windows.prefix_sums`` over k, the same window sum the filters sign.  A batch
-of lanes adds its votes in one call, in the order of a window-by-window loop.
+window stays within its budget.  A cell's vote in a window is its sum of k
+from ``windows.window_sums``, the window sum the filters sign; a batch of
+lanes adds its votes in one call, in the order of a window-by-window loop.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ANOMALOUS_LABEL, InstanceSeries, read_only, require_finite
-from .windows import budget_ladder, budget_walk, prefix_sums, sign_labels
+from .windows import budget_ladder, budget_walk, prefix_sums, sign_labels, window_sums
 
 
 class NormalizationError(ValueError):
@@ -153,24 +153,18 @@ def init_lifespans(signals: SignalSeries, m: int, lam: float) -> np.ndarray:
 
 def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> np.ndarray:
     """Process the full series with every cell; per-instance vote sums."""
-    n = len(signals)
     csm, k = signal_transform(signals.safe, signals.danger)
-    cum_k = prefix_sums(k)
+    walk = budget_walk(np.cumsum(csm), [c.lifespan for c in population.cells], "left")
 
     # Range-add votes cell by cell, closings first: a window-by-window walk's add order.
-    vote_diff, lifespans = np.zeros(n + 1), [c.lifespan for c in population.cells]
-    prev = None
-    for edges, starts in budget_walk(np.cumsum(csm), lifespans, "left"):
-        if edges is not prev:  # a lane yielded again (one lane, never zeroed) keeps its votes
-            c, prev = cum_k[edges], edges
-            votes = c[1:] - c[:-1]
+    vote_diff = np.zeros(len(signals) + 1)
+    for edges, starts, votes in window_sums(prefix_sums(k), walk):
         if len(starts) == 1:  # a lane's edges are distinct: gather, update, scatter
             d = vote_diff[edges]
             d[1:] -= votes
             d[:-1] += votes
             vote_diff[edges] = d
-        else:  # the pair from a lane's end to the next start adds -0.0 at 0, a no-op
-            votes[starts[1:] - 1] = 0.0
+        else:  # the straddling pair's zero vote adds -0.0 at 0, a no-op
             np.add.at(vote_diff, np.repeat(edges, 2)[1:-1], np.stack([votes, -votes], 1).ravel())
 
     return np.cumsum(vote_diff[:-1])

@@ -89,7 +89,7 @@ def train(
     Raises ``ValueError`` if only one class is present or ``C`` is not in (0, inf),
     and ``ConvergenceError`` if the violation gap has not closed within
     ``max_pair_updates`` two-variable steps, stops being finite, or stalls (no
-    new minimum in 10 steps per instance, at least 10,000: pairs can zig-zag).
+    new minimum in max(10 n, 10^7 / n) steps, about fixed work: pairs can zig-zag).
     A NaN candidate bias, or +inf (-inf) in the "can increase" ("decrease") set, stops it.
     """
     if not 0 < C < np.inf:
@@ -111,7 +111,7 @@ def train(
     up_at, low_at, up_argmax, low_argmin = up.item, low.item, up.argmax, low.argmin
     gap = best_gap = inf = np.inf
     C = float(C)
-    best_at, patience = 0, 10 * max(n, 1_000)  # 20x a benchmark split's longest stall
+    best_at, patience = 0, max(10 * n, 10_000_000 // n)  # 20x a benchmark split's longest stall
 
     for update in range(max_pair_updates):
         i = int(up_argmax())

@@ -10,9 +10,9 @@ wide where it is not.
 A partition (a lane) is an array of edges ``e`` from ``e[0] = 0`` to
 ``e[-1] = n``: window ``j`` is the slice ``e[j]:e[j + 1]``, at least one index
 long, and its sum is a difference of ``prefix_sums``.  Lanes travel in batches
-of about n edges: their edges concatenated, and where each lane starts.
-Labels, tuning and the DCA's votes read a batch's window sums with one gather,
-skipping the pair that straddles two lanes.  Static edges are every
+of about n edges: their edges concatenated, and where each lane starts.  Only
+``window_sums`` reads their window sums: one gather, the pair straddling two
+lanes zeroed, the same sums for a lane yielded again.  Static edges are every
 ``alpha``-th index.  Dynamic edges come from ``budget_walk``, which ``dca``
 shares: a window's end depends only on its start, so each budget's windows
 are a path from index 0.  A budget expecting many windows walks a successor
@@ -54,11 +54,11 @@ class WindowSizeGrid:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if bad := [s for s in self.sizes if not (float(s).is_integer() and s >= 1)]:
+            raise ValueError(f"window sizes must be whole numbers >= 1, got {bad[0]}")
         cleaned = tuple(sorted({int(s) for s in self.sizes}))
         if not cleaned:
             raise ValueError("window-size grid is empty")
-        if cleaned[0] < 1:
-            raise ValueError(f"window sizes must be >= 1, got {cleaned[0]}")
         object.__setattr__(self, "sizes", cleaned)
 
 
@@ -110,44 +110,51 @@ def _static_batches(n: int, sizes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield np.minimum(np.repeat(alphas, k) * steps, n), starts
 
 
-def _window_labels(series: ScoreSeries, edges: np.ndarray) -> np.ndarray:
-    c = prefix_sums(series.scores)[edges]
-    return np.repeat(sign_labels(c[1:] - c[:-1]), edges[1:] - edges[:-1])
+def window_sums(cum: np.ndarray, batches: Iterable[tuple]) -> Iterator[tuple]:
+    """Each batch's edges, starts and window sums over the last axis of prefix
+    sums ``cum``.  The pair straddling two lanes, from n back to 0, sums to 0; a
+    batch yielded again (the same edges object) gets the same sums object."""
+    prev = None
+    for edges, starts in batches:
+        if edges is not prev:
+            c, prev = cum.take(edges, -1), edges
+            sums = c[..., 1:] - c[..., :-1]
+            if len(starts) > 1:  # an empty index costs more than the gather
+                sums[..., starts[1:] - 1] = 0.0
+        yield edges, starts, sums
+
+
+def _window_labels(series: ScoreSeries, batches: Iterable[tuple]) -> np.ndarray:
+    edges, _, sums = next(window_sums(prefix_sums(series.scores), batches))
+    return np.repeat(sign_labels(sums), edges[1:] - edges[:-1])
 
 
 def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
     """Label every instance with the sign of its fixed-width window's score sum."""
-    if alpha < 1:
-        raise ValueError(f"window size must be >= 1, got {alpha}")
-    return _window_labels(series, next(_static_batches(len(series), np.array([alpha])))[0])
+    (alpha,) = WindowSizeGrid((alpha,)).sizes
+    return _window_labels(series, _static_batches(len(series), np.array([alpha])))
 
 
-def _lane_errors(series: ScoreSeries, lanes: int, batches: Iterable[tuple]) -> np.ndarray:
-    """Each lane's mean squared label error ``4 * wrong / n``, batches taken
-    in lane order one at a time.  A -1 window gets its positives wrong, a +1
-    window its negatives: all positives, plus per +1 window its width less twice
-    its positives, a difference of ``q``; integer terms, so sums are exact.
-    A batch yielded again (the same edges object) copies the previous counts."""
-    cum = prefix_sums(series.scores)
-    cum_pos = prefix_sums(series.truths > 0)
-    q = np.arange(len(cum)) - 2 * cum_pos
-    wrong, lane, prev = np.full(lanes, cum_pos[-1]), 0, None
-    for edges, starts in batches:
-        k = len(starts)
-        if edges is prev:
-            wrong[lane : lane + k] = wrong[lane - k : lane]
-        else:
-            c, g = cum[edges], q[edges]
-            terms = (g[1:] - g[:-1]) * (c[1:] - c[:-1] >= 0)
-            terms[starts[1:] - 1] = 0.0  # the pair from one lane's end to the next one's start
-            wrong[lane : lane + k] += np.add.reduceat(terms, starts)
-        prev, lane = edges, lane + k
-    return (4 * wrong) / len(series)
+def _lane_errors(series: ScoreSeries, batches: Iterable[tuple]) -> np.ndarray:
+    """Each lane's mean squared label error ``4 * wrong / n``, batches taken in
+    lane order.  A -1 window gets its positives wrong, a +1 window its negatives:
+    all positives, plus per +1 window its window sum of -truth, its width less
+    twice its positives.  Integer terms, so sums are exact; a batch yielded
+    again (the same sums object) keeps its counts."""
+    cum = np.zeros((2, len(series) + 1))
+    np.cumsum(series.scores, out=cum[0, 1:])
+    np.cumsum(-series.truths, out=cum[1, 1:])
+    counts, prev = [], None
+    for _, starts, sums in window_sums(cum, batches):
+        if sums is not prev:
+            batch, prev = np.add.reduceat(sums[1] * (sums[0] >= 0), starts), sums
+        counts.append(batch)
+    return (4 * (np.sum(series.truths > 0) + np.concatenate(counts))) / len(series)
 
 
 def _tune(kind, series: ScoreSeries, params, batches: Iterable[tuple]) -> TunedFilter:
     """The parameter whose lane mislabels fewest instances; ties go to the first."""
-    errors = _lane_errors(series, len(params), batches)
+    errors = _lane_errors(series, batches)
     best = int(np.argmin(errors))
     return TunedFilter(kind, float(params[best]), float(errors[best]))
 
@@ -272,8 +279,7 @@ def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:
     """Label every instance with the sign of its dynamic window's score sum."""
     if not beta > 0:
         raise ValueError(f"threshold must be > 0, got {beta}")
-    edges, _ = next(budget_walk(np.cumsum(np.abs(series.scores)), [float(beta)], "right"))
-    return _window_labels(series, edges)
+    return _window_labels(series, budget_walk(np.cumsum(np.abs(series.scores)), [beta], "right"))
 
 
 def tune_dynamic(series: ScoreSeries, grid: ThresholdGrid) -> TunedFilter:
@@ -285,7 +291,7 @@ def tune_dynamic(series: ScoreSeries, grid: ThresholdGrid) -> TunedFilter:
 def apply(tuned: TunedFilter, series: ScoreSeries) -> np.ndarray:
     """Run a tuned filter on a (typically held-out) score series."""
     if tuned.kind == "static":
-        return static_label(series, int(tuned.parameter))
+        return static_label(series, tuned.parameter)
     if tuned.kind == "dynamic":
         return dynamic_label(series, tuned.parameter)
     raise ValueError(f"unknown filter kind {tuned.kind!r}")

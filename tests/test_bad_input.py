@@ -7,7 +7,9 @@ single class) or ``svm.train`` (a single class).  Score series get the same
 treatment: building one rejects non-finite scores, no rows and bad truths, and
 ``make_threshold_grid`` rejects all-zero scores.  Building a DCA signal series
 rejects non-finite signals, no rows, safe and danger of different lengths
-and signals outside [0, 1].
+and signals outside [0, 1].  A static window width that is not a whole number
+is rejected wherever it enters: a width grid, ``static_label`` and a tuned
+filter's ``apply``.
 """
 
 import time
@@ -20,7 +22,16 @@ from hypothesis import strategies as st
 from windowlab import dca
 from windowlab.datagen import InstanceSeries
 from windowlab.svm import ScoreSeries, score_series, train
-from windowlab.windows import default_size_grid, make_threshold_grid, tune_dynamic, tune_static
+from windowlab.windows import (
+    TunedFilter,
+    WindowSizeGrid,
+    apply,
+    default_size_grid,
+    make_threshold_grid,
+    static_label,
+    tune_dynamic,
+    tune_static,
+)
 
 FINITE = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 UNIT = st.floats(min_value=0, max_value=1)  # a valid signal
@@ -165,3 +176,19 @@ class TestBadSignals:
         mapping = dca.SignalMapping(np.array([1.0, 0.0]), 0, False)
         pattern, consumers = SIGNAL_DEFECTS[defect]
         assert_rejected(lambda: dca.SignalSeries(safe, danger, mapping), consumers, pattern)
+
+
+class TestBadWidth:
+    @pytest.mark.parametrize("width", [2.5, -0.5, 1e-9, float("nan"), float("inf")])
+    def test_a_width_that_is_not_whole_is_named_where_it_enters(self, width):
+        # It used to be truncated (a grid of (2.5, 3) became (2, 3), and apply
+        # labelled with width 2) or to fail inside NumPy without a name.
+        scores = ScoreSeries([0.5, -1.0, 2.0, -0.25], [1, -1, 1, 1])
+        pattern = f"window sizes must be whole numbers >= 1, got {width}"
+        rejects(lambda: WindowSizeGrid((width, 3)), pattern)
+        rejects(lambda: static_label(scores, width), pattern)
+        rejects(lambda: apply(TunedFilter("static", width, 0.0), scores), pattern)
+        assert WindowSizeGrid((3.0, np.int64(2))).sizes == (2, 3)
+        whole = static_label(scores, 3)
+        assert np.array_equal(static_label(scores, 3.0), whole)
+        assert np.array_equal(apply(TunedFilter("static", np.int64(3), 0.0), scores), whole)

@@ -316,6 +316,19 @@ class TestInPlaceSolverParity:
         assert t == first_t if first_t else t < C
         self.assert_same_outcome(feats, labels, C)
 
+    @pytest.mark.parametrize("seed, updates", [(6, 14_608), (42, 32_300)])
+    def test_slow_small_splits_converge_like_the_oracle(self, seed, updates):
+        # Wide, overlapping draws whose gap goes 10,000 updates without a new
+        # minimum (seed 6 from update 0, seed 42 from update 19,265) and then
+        # converges; a stall stop of 10,000 updates at every n <= 1,000 cut both.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 41))
+        labels = rng.choice([-1, 1], n)
+        feats, C = rng.normal(0.0, 5.0, (n, 3)), float(rng.uniform(10.0, 100.0))
+        ref = smo_train(feats, labels, C)
+        self.assert_same_model(train(series(feats, labels), C), ref, 1e-3)
+        assert ref["pair_updates"] == updates
+
     def test_heaviest_long_series_split(self):
         # The long-series benchmark workload's slowest training split (4,477
         # pair updates); the suite size sets the class means, so build all 40.

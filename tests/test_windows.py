@@ -281,7 +281,7 @@ class TestTuneStatic:
         assert len(batches) >= 4
         lanes = [lane for edges, starts in batches for lane in np.split(edges, starts[1:])]
         assert [spans_of(lane) for lane in lanes] == [oracles.static_spans(120, a) for a in sizes]
-        errors = windows._lane_errors(make_series(scores, truths), len(sizes), batches)
+        errors = windows._lane_errors(make_series(scores, truths), batches)
         expected = [
             oracles.mean_square_label_error(oracles.static_labels(scores, a), truths) for a in sizes
         ]
@@ -612,8 +612,8 @@ class TestTableReuse:
         walk = list(budget_walk(np.cumsum(np.abs(series.scores)), budgets, "right"))
         assert any(a[0] is b[0] for a, b in zip(walk, walk[1:]))
         fresh = [(edges.copy(), starts.copy()) for edges, starts in walk]
-        errors = windows._lane_errors(series, len(budgets), walk)
-        assert errors.tolist() == windows._lane_errors(series, len(budgets), fresh).tolist()
+        errors = windows._lane_errors(series, walk)
+        assert errors.tolist() == windows._lane_errors(series, fresh).tolist()
 
 
 class TestDynamicLabel:
@@ -779,12 +779,19 @@ def test_oracles_import_nothing_from_the_package():
 
 
 def test_package_modules_use_every_name_they_import():
-    # The project runs no linter, so an import left behind by a deletion would go unseen.
-    unused = []
-    for path in sorted(Path(windows.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
+    # The project runs no linter, so an import left behind by a deletion would
+    # go unseen, and so would a module-level private name whose last reader in
+    # the package was deleted: a helper used only by its own tests gets deleted.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(windows.__file__).parent.glob("*.py"))}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    read |= {node.id for node in nodes
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused, defined = [], []
+    for name, tree in trees.items():
+        if name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = [
             (alias.asname or alias.name).split(".")[0]
             for node in ast.walk(tree)
@@ -793,5 +800,15 @@ def test_package_modules_use_every_name_they_import():
             for alias in node.names
         ]
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+        unused += [f"{name}: {n}" for n in imported if n not in used]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined += [(name, node.name)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(name, t.id) for target in targets for t in ast.walk(target)
+                            if isinstance(t, ast.Name)]
+    private = [(m, n) for m, n in defined if n.startswith("_") and not n.startswith("__")]
+    assert len(private) >= 40  # the walk finds them
+    unused += [f"{m}: {n} is never read" for m, n in private if n not in read]
     assert not unused
