@@ -89,7 +89,7 @@ class ExperimentConfig:
 
     seed: int
     n_datasets: int = 100
-    methods: tuple[Method, ...] = ALL_METHODS
+    methods: tuple[Method, ...] = ALL_METHODS  # names such as "SMOV" are converted
     svm_c: float = 1.0
     window_grid: int = 100
     threshold_grid: int = 100
@@ -101,6 +101,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("method list is empty")
+        try:  # method_labels compares members by identity
+            object.__setattr__(self, "methods", tuple(map(Method, self.methods)))
+        except ValueError:
+            valid = ", ".join(map(str, ALL_METHODS))
+            raise ValueError(f"unknown method in {self.methods!r}; valid methods: {valid}") from None
         for k, method in enumerate(self.methods):
             if method in self.methods[:k]:
                 raise ValueError(f"method {method} is listed more than once")
@@ -112,8 +117,9 @@ class ExperimentConfig:
         if not 0 < self.svm_c < math.inf:
             raise ValueError(f"svm_c must be positive and finite, got {self.svm_c}")
         for name in ("window_grid", "threshold_grid"):
-            if (size := getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1, got {size}")
+            if not (float(size := getattr(self, name)).is_integer() and size >= 1):
+                raise ValueError(f"{name} must be a whole number >= 1, got {size}")
+            object.__setattr__(self, name, int(size))
 
     def base_generator_config(self) -> GeneratorConfig:
         return GeneratorConfig(class2_mean=CLASS1_MEAN, seed=0,

@@ -167,8 +167,8 @@ def tune_static(series: ScoreSeries, grid: WindowSizeGrid) -> TunedFilter:
 def budget_ladder(peak: float, m: int, lam: float) -> np.ndarray:
     """Budgets peak * (l/m) * lam for l = 1..m: the dynamic window's threshold
     grid and the DCA's lifespans.  Each caller rejects its own zero peak."""
-    if m < 1:
-        raise ValueError(f"ladder size must be >= 1, got {m}")
+    if not (float(m).is_integer() and m >= 1):
+        raise ValueError(f"ladder size must be a whole number >= 1, got {m}")
     if not 0 < lam < np.inf:
         raise ValueError(f"scale factor must be positive and finite, got {lam}")
     return peak * (np.arange(1, m + 1, dtype=float) / m) * lam
@@ -182,6 +182,10 @@ def make_threshold_grid(series: ScoreSeries, m: int, lam: float) -> ThresholdGri
         raise DegenerateGridError("all scores are zero; threshold grid would be degenerate")
     return ThresholdGrid(budgets, float(lam))
 
+
+# The starts of a batch holding one table lane, shared by every such batch.
+_ONE_LANE = np.zeros(1, np.intp)
+_ONE_LANE.flags.writeable = False
 
 # A batched bisect step costs about as much as 8 starts of a doubling lane, with
 # each lane's consumer (0.3-0.4 us per window, 0.04-0.06 us per start; n = 1,000, 8,000).
@@ -205,11 +209,13 @@ def budget_walk(
       start, and of start n, whose floor n + 1 clips to n; ``s`` jumping m
       windows maps the first m edges to the next m, then ``s[s]`` jumps 2m.
       The lane is a batch of its own.  Ends only move forward as the budget
-      grows, so ``s`` is kept, and a step under the mean magnitude re-searches
-      only ends that now meet their target: ``cum_mag[end] <= target`` right,
-      ``before[end] < target`` left.  If none does, ``s`` and so the path are
+      grows, so ``s`` is kept with its end values, ``cum_mag[end]`` right and
+      ``before[end]`` left, and a step under the mean magnitude re-searches
+      only ends whose value now meets the target (``<=`` right, ``<`` left)
+      and refreshes their values.  If none does, ``s`` and so the path are
       unchanged, and the last table lane is yielded again: its edges are
-      read-only.  Other steps rebuild ``s``;
+      read-only.  Other steps rebuild ``s``.  The doubling's buffers are made
+      on the walk's first table lane and kept for the walk; a lane is a copy;
     * few windows (under n / ``_BISECT_STEP_COST``): each step bisects the
       prefix sums from ``start`` alone, so the lane costs its windows, not n.
       Such lanes share a batch, yielded once it holds n edges or a table lane is next.
@@ -222,7 +228,7 @@ def budget_walk(
     before = np.concatenate([[0.0], cum_mag[:-1], [np.inf]])
     floor = np.arange(1, n + 2)
     total = float(cum_mag[-1])
-    cum = pre = None
+    cum = pre = scratch = None
     stop, passed = (cum_mag, np.less_equal) if side == "right" else (before, np.less)
     target, last = np.empty(n + 1), np.inf  # the kept table's targets and budget, inf for none
     edges, starts = [], []  # the sparse lanes' batch
@@ -251,24 +257,27 @@ def budget_walk(
             np.add(before, budget, out=target)
             step, last = budget - last, budget
             if 0 <= step < total / n:  # ends move forward: re-search those passed
-                moved = np.flatnonzero(passed(stop.take(table[:n], mode="clip"), target[:n]))
+                moved = np.flatnonzero(passed(at_end, target[:n]))
                 if not moved.size:  # the table, so the path, is unchanged
                     yield lane
                     continue
-                ends = cum_mag.searchsorted(target[moved], side) + (side == "left")
-                table[moved] = np.minimum(ends, n)
+                ends = np.minimum(cum_mag.searchsorted(target[moved], side) + (side == "left"), n)
+                table[moved], at_end[moved] = ends, stop.take(ends, mode="clip")
             else:
                 table = cum_mag.searchsorted(target, side)
                 table += side == "left"
                 np.maximum(table, floor, out=table)
                 np.minimum(table, n, out=table)
+                at_end = stop.take(table[:n], mode="clip")
+            if scratch is None:  # the doubling's buffers, made once a walk needs them
+                scratch, succ, jump = np.zeros(2 * n, np.intp), table.copy(), table.copy()
             # m <= windows <= n, so indices stay in range; clip mode skips take's copy of out
-            path, succ, jump, m = np.zeros(2 * n, np.intp), table.copy(), np.empty_like(table), 1
-            while succ.take(path[:m], out=path[m : 2 * m], mode="clip")[-1] < n:
+            succ[:], m = table, 1
+            while succ.take(scratch[:m], out=scratch[m : 2 * m], mode="clip")[-1] < n:
                 succ, jump, m = succ.take(succ, out=jump, mode="clip"), succ, 2 * m
-            path = path[: path[: 2 * m].searchsorted(n) + 1]  # rises to n, then stays
+            path = scratch[: scratch[: 2 * m].searchsorted(n) + 1].copy()  # rises to n, then stays
             path.flags.writeable = False  # a lane may be yielded again
-            lane = path, np.zeros(1, np.intp)
+            lane = path, _ONE_LANE
             yield lane
     if edges:
         batch, edges, starts = (np.array(edges, np.intp), np.array(starts, np.intp)), [], []

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from windowlab import dca, svm
+from windowlab import dca, harness, svm
 from windowlab.harness import (
     ALL_METHODS,
     AnalysisReport,
@@ -383,6 +383,8 @@ class TestConfigValidation:
     def test_rejects_repeated_method(self):
         with pytest.raises(ValueError, match="method SMOV is listed more than once"):
             ExperimentConfig(seed=0, methods=(Method.LNC, Method.SMOV, Method.SMOV))
+        with pytest.raises(ValueError, match="method SMOV is listed more than once"):
+            ExperimentConfig(seed=0, methods=("SMOV", Method.SMOV))
 
     def test_rejects_single_dataset(self):
         with pytest.raises(ValueError, match="n_datasets"):
@@ -400,6 +402,10 @@ class TestConfigValidation:
             ("svm_c", float("inf")),  # the solver would stall on dataset 0
             ("window_grid", 0),
             ("threshold_grid", -2),
+            ("window_grid", 2.5),
+            ("threshold_grid", 0.5),
+            ("window_grid", float("nan")),
+            ("threshold_grid", float("inf")),
         ],
     )
     def test_rejects_a_bad_setting_by_name(self, setting, value):
@@ -407,12 +413,35 @@ class TestConfigValidation:
             "lambda_low": ": scale factor must be positive and finite,",
             "lambda_high": ": scale factor must be positive and finite,",
             "svm_c": " must be positive and finite,",
-            "window_grid": " must be >= 1,",
-            "threshold_grid": " must be >= 1,",
+            "window_grid": " must be a whole number >= 1,",
+            "threshold_grid": " must be a whole number >= 1,",
         }[setting]
         # LNC alone reads none of these settings: they are checked anyway
         with pytest.raises(ValueError, match=re.escape(f"{setting}{rule} got {value}")):
             ExperimentConfig(seed=0, methods=(Method.LNC,), **{setting: value})
+
+    def test_a_whole_float_grid_size_is_used_as_an_integer(self):
+        cfg = ExperimentConfig(seed=0, window_grid=3.0, threshold_grid=4.0)
+        assert (cfg.window_grid, cfg.threshold_grid) == (3, 4)
+        assert type(cfg.window_grid) is int and type(cfg.threshold_grid) is int
+
+    def test_method_names_give_the_table_of_members(self):
+        names = ("LNC", "SMOV", "DMOV1", "DCA2")
+        by_name = ExperimentConfig(seed=1, n_datasets=2, methods=names, **SMALL)
+        by_member = ExperimentConfig(seed=1, n_datasets=2, methods=tuple(map(Method, names)),
+                                     **SMALL)
+        assert by_name == by_member
+        assert all(type(m) is Method for m in by_name.methods)
+        assert run_experiment(by_name).rows == run_experiment(by_member).rows
+
+    def test_unknown_method_is_named_before_any_dataset_is_generated(self, monkeypatch):
+        def no_suite(*args):
+            raise AssertionError("a dataset was generated")
+
+        monkeypatch.setattr(harness, "generate_benchmark_suite", no_suite)
+        with pytest.raises(ValueError, match=r"unknown method in \('LNC', 'XYZ'\); valid methods: "
+                           r"LNC, SMOV, DMOV1, DMOV2, DCA1, DCA2"):
+            ExperimentConfig(seed=1, methods=("LNC", "XYZ"))
 
     def test_scale_lookup(self):
         cfg = ExperimentConfig(seed=0)

@@ -333,6 +333,16 @@ class TestThresholdGrid:
         with pytest.raises(ValueError, match=f"scale factor must be positive and finite, got {lam}"):
             windows.budget_ladder(1.0, 10, lam)
 
+    @pytest.mark.parametrize("m", [2.5, 0.5, 0, -3, np.nan, np.inf])
+    def test_ladder_rejects_a_size_that_is_not_a_whole_number(self, m):
+        with pytest.raises(ValueError, match=f"ladder size must be a whole number >= 1, got {m}"):
+            windows.budget_ladder(1.0, m, 1.0)
+
+    def test_ladder_takes_a_whole_float_size_as_an_integer(self):
+        ladder = windows.budget_ladder(2.0, 3.0, 5.0)
+        assert ladder.tolist() == windows.budget_ladder(2.0, 3, 5.0).tolist()
+        assert len(ladder) == 3 and ladder[-1] == 10.0
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             ThresholdGrid(np.array([1.0, 1.0]), 1.0)
@@ -595,6 +605,28 @@ class TestTableReuse:
             assert spans_of(edges) == oracles.budget_spans(increments, budget, side)
         with pytest.raises(ValueError, match="read-only"):
             lanes[0][1] = 0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_each_step_searches_exactly_the_ends_it_moves(self, side):
+        """An end moved by one step and passed again two steps later is searched
+        at each of those steps and at no step between, which moves no end and
+        yields the last lane again.  The last index is above every budget, so no
+        window reaches n before it and every end a step passes moves."""
+        increments = np.append(GRID_INCREMENTS, 50.0)
+        # odd multiples of 1/128: every other step of 1/64 crosses a multiple of
+        # 1/32, where ends can move; the steps between cross none
+        budgets = np.arange(1, 40, 2) / 128
+        cum = np.cumsum(increments).view(SearchLog)
+        cum.log = []
+        lanes = [edges for edges, _ in budget_walk(cum, budgets, side)]
+        ends = np.array([window_ends(increments, b, side) for b in budgets])
+        moves = ends[1:] != ends[:-1]
+        assert cum.log == [len(increments) + 1] + [k for k in moves.sum(1).tolist() if k]
+        assert [b is a for a, b in zip(lanes, lanes[1:])] == (~moves.any(1)).tolist()
+        # some start moves at a step, not at the next, and again at the one after
+        assert np.any(moves[:-2] & ~moves[1:-1] & moves[2:])
+        for edges, budget in zip(lanes, budgets):
+            assert spans_of(edges) == oracles.budget_spans(increments, budget, side)
 
     @pytest.mark.parametrize(
         "budgets",
