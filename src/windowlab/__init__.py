@@ -3,3 +3,14 @@ on noisy, time-ordered two-class data, with the statistical machinery to
 compare the approaches across a separability sweep."""
 
 __version__ = "0.1.0"
+
+
+class Record:
+    """Base of the value records: equal when of one type with equal attributes.
+    Records are plain classes, so that import compiles no generated methods."""
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"

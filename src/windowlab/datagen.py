@@ -24,11 +24,12 @@ normalizes them.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from . import Record
 
 NORMAL_LABEL = -1
 ANOMALOUS_LABEL = 1
@@ -45,8 +46,7 @@ STDDEV = 0.1
 SWEEP_WIDTH = 0.6
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Record):
     """Parameters of one synthetic dataset.
 
     ``n_train`` and ``n_test`` must each be divisible by 4 so the quarter
@@ -55,22 +55,21 @@ class GeneratorConfig:
     ``sqrt(N_FEATURES) * (class2_mean - CLASS1_MEAN)``.
     """
 
-    class2_mean: float
-    seed: int
-    n_train: int = 1000
-    n_test: int = 1000
+    n_train = n_test = 1000  # the default split sizes
 
-    def __post_init__(self) -> None:
-        for name, n in (("n_train", self.n_train), ("n_test", self.n_test)):
+    def __init__(self, class2_mean: float, seed: int, n_train: int = n_train,
+                 n_test: int = n_test) -> None:
+        for name, n in (("n_train", n_train), ("n_test", n_test)):
             if n <= 0 or n % 4 != 0:
                 raise ValueError(f"{name} must be a positive multiple of 4, got {n}")
-        if self.class2_mean < CLASS1_MEAN:
+        if class2_mean < CLASS1_MEAN:
             raise ValueError(
-                f"class2_mean ({self.class2_mean}) must not be below "
+                f"class2_mean ({class2_mean}) must not be below "
                 f"CLASS1_MEAN ({CLASS1_MEAN})"
             )
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
+        if not 0 <= int(seed) < 2**64:
+            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+        self.class2_mean, self.seed, self.n_train, self.n_test = class2_mean, seed, n_train, n_test
 
 
 def require_finite(values: np.ndarray, name: str) -> None:
@@ -91,20 +90,17 @@ def read_only(values, dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class InstanceSeries:
-    """A time-ordered block of labeled instances.
+    """A time-ordered block of labeled instances: ``features`` (n, d) float and
+    ``labels`` (n,) int8 values in {-1, +1}.
 
     Time indexes are implicit: instance ``i`` (0-based row) has time index
     ``i + 1``, which guarantees the consecutive, unique, 1-based invariant.
     """
 
-    features: np.ndarray  # (n, d) float
-    labels: np.ndarray  # (n,) int8 values in {-1, +1}
-
-    def __post_init__(self) -> None:
-        feats = read_only(self.features, float)
-        labs = np.asarray(self.labels)
+    def __init__(self, features: np.ndarray, labels: np.ndarray) -> None:
+        feats = read_only(features, float)
+        labs = np.asarray(labels)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-d array")
         if feats.shape[0] == 0:
@@ -114,8 +110,7 @@ class InstanceSeries:
             raise ValueError("labels must be 1-d and match the number of instances")
         if not np.all(np.isin(labs, (-1, 1))):
             raise ValueError("labels must be -1 or +1")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", read_only(labs, np.int8))
+        self.features, self.labels = feats, read_only(labs, np.int8)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -125,11 +120,11 @@ class InstanceSeries:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """A dataset's config; its splits are drawn on first read and kept."""
 
-    config: GeneratorConfig
+    def __init__(self, config: GeneratorConfig) -> None:
+        self.config = config
 
     @cached_property
     def _splits(self) -> tuple[InstanceSeries, InstanceSeries]:
@@ -185,7 +180,8 @@ def generate_benchmark_suite(
         raise ValueError(f"suite seed must be >= 0, got {seed}")
     step = SWEEP_WIDTH / (n_datasets - 1)
     return [
-        Dataset(replace(base, class2_mean=CLASS1_MEAN + k * step, seed=suite_member_seed(seed, k)))
+        Dataset(GeneratorConfig(CLASS1_MEAN + k * step, suite_member_seed(seed, k),
+                                base.n_train, base.n_test))
         for k in range(n_datasets)
     ]
 

@@ -28,7 +28,7 @@ lanes adds its votes in one call, in the order of a window-by-window loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,25 +44,19 @@ class DegenerateSignalError(ValueError):
     """All signal strengths are zero, so no lifespan ladder can be built."""
 
 
-@dataclass(frozen=True, eq=False)
 class SignalMapping:
     """How raw features were turned into safe/danger signals."""
 
-    correlations: np.ndarray
-    danger_feature: int
-    safe_inverted: bool
+    def __init__(self, correlations: np.ndarray, danger_feature: int, safe_inverted: bool) -> None:
+        self.correlations, self.danger_feature = correlations, danger_feature
+        self.safe_inverted = safe_inverted
 
 
-@dataclass(frozen=True, eq=False)
 class SignalSeries:
     """Per-instance safe and danger signals, in time order, each in [0, 1]."""
 
-    safe: np.ndarray
-    danger: np.ndarray
-    mapping: SignalMapping
-
-    def __post_init__(self) -> None:
-        safe, danger = read_only(self.safe, float), read_only(self.danger, float)
+    def __init__(self, safe: np.ndarray, danger: np.ndarray, mapping: SignalMapping) -> None:
+        safe, danger = read_only(safe, float), read_only(danger, float)
         if safe.shape != danger.shape or safe.ndim != 1 or safe.size == 0:
             raise ValueError("safe and danger signals must be nonempty 1-d arrays of equal length")
         require_finite(safe, "safe signal")
@@ -71,32 +65,28 @@ class SignalSeries:
             if (out := np.flatnonzero((values < 0.0) | (values > 1.0))).size:
                 raise ValueError(f"{name} signal is {values[out[0]]} at time index {out[0] + 1}; "
                                  "must be in [0, 1]")
-        object.__setattr__(self, "safe", safe)
-        object.__setattr__(self, "danger", danger)
+        self.safe, self.danger, self.mapping = safe, danger, mapping
 
     def __len__(self) -> int:
         return self.safe.shape[0]
 
 
-@dataclass(frozen=True)
-class DendriticCell:
+class DendriticCell(NamedTuple):
     """One agent, defined by its lifespan."""
 
     lifespan: float
 
 
-@dataclass(frozen=True, eq=False)
 class DCAPopulation:
     """Cells ordered by strictly increasing lifespan."""
 
-    cells: tuple[DendriticCell, ...]
-
-    def __post_init__(self) -> None:
-        if not self.cells:
+    def __init__(self, cells: tuple[DendriticCell, ...]) -> None:
+        if not cells:
             raise ValueError("population is empty")
-        spans = [cell.lifespan for cell in self.cells]
+        spans = [cell.lifespan for cell in cells]
         if not spans[0] > 0 or not all(b > a for a, b in zip(spans, spans[1:])):
             raise ValueError("lifespans must be positive and strictly increasing")
+        self.cells = cells
 
     @classmethod
     def from_lifespans(cls, lifespans) -> "DCAPopulation":

@@ -9,15 +9,13 @@ Frequencies are in radians per sample step; sweeps cover [0, pi].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class FrequencyResponse:
+class FrequencyResponse(NamedTuple):
     """Complex gain of a filter at one angular frequency."""
 
     omega: float

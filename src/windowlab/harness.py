@@ -27,15 +27,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import dca, freq, windows
+from . import Record, dca, freq, windows
 from . import svm as svm_mod
 from .datagen import (
     CLASS1_MEAN,
@@ -83,43 +83,39 @@ _HIGH_SCALE = {Method.DMOV2, Method.DCA2}
 _DCA = {Method.DCA1, Method.DCA2}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything needed to reproduce one full benchmark run."""
+class ExperimentConfig(Record):
+    """Everything needed to reproduce one full benchmark run.  Method names such
+    as "SMOV" become members, and whole numbers given as floats become ints."""
 
-    seed: int
-    n_datasets: int = 100
-    methods: tuple[Method, ...] = ALL_METHODS  # names such as "SMOV" are converted
-    svm_c: float = 1.0
-    window_grid: int = 100
-    threshold_grid: int = 100
-    lambda_low: float = 1.0
-    lambda_high: float = 100.0
-    n_train: int = GeneratorConfig.n_train
-    n_test: int = GeneratorConfig.n_test
-
-    def __post_init__(self) -> None:
-        if not self.methods:
+    def __init__(self, seed: int, n_datasets: int = 100, methods: tuple[Method, ...] = ALL_METHODS,
+                 svm_c: float = 1.0, window_grid: int = 100, threshold_grid: int = 100,
+                 lambda_low: float = 1.0, lambda_high: float = 100.0,
+                 n_train: int = GeneratorConfig.n_train,
+                 n_test: int = GeneratorConfig.n_test) -> None:
+        if not methods:
             raise ValueError("method list is empty")
         try:  # method_labels compares members by identity
-            object.__setattr__(self, "methods", tuple(map(Method, self.methods)))
+            self.methods = tuple(map(Method, methods))
         except ValueError:
             valid = ", ".join(map(str, ALL_METHODS))
-            raise ValueError(f"unknown method in {self.methods!r}; valid methods: {valid}") from None
+            raise ValueError(f"unknown method in {methods!r}; valid methods: {valid}") from None
         for k, method in enumerate(self.methods):
             if method in self.methods[:k]:
                 raise ValueError(f"method {method} is listed more than once")
-        if self.n_datasets < 2:
-            raise ValueError(f"n_datasets must be >= 2, got {self.n_datasets}")
-        for name in ("lambda_low", "lambda_high"):
-            if not 0 < (lam := getattr(self, name)) < math.inf:
+        for name, lam in (("lambda_low", lambda_low), ("lambda_high", lambda_high)):
+            if not 0 < lam < math.inf:
                 raise ValueError(f"{name}: scale factor must be positive and finite, got {lam}")
-        if not 0 < self.svm_c < math.inf:
-            raise ValueError(f"svm_c must be positive and finite, got {self.svm_c}")
-        for name in ("window_grid", "threshold_grid"):
-            if not (float(size := getattr(self, name)).is_integer() and size >= 1):
-                raise ValueError(f"{name} must be a whole number >= 1, got {size}")
-            object.__setattr__(self, name, int(size))
+        if not 0 < svm_c < math.inf:
+            raise ValueError(f"svm_c must be positive and finite, got {svm_c}")
+        self.svm_c, self.lambda_low, self.lambda_high = svm_c, lambda_low, lambda_high
+        for name, least, size in (("seed", 0, seed), ("n_datasets", 2, n_datasets),
+                                  ("n_train", 1, n_train), ("n_test", 1, n_test),
+                                  ("window_grid", 1, window_grid),
+                                  ("threshold_grid", 1, threshold_grid)):
+            whole = isinstance(size, int) or float(size).is_integer()  # a seed may exceed any float
+            if not (whole and size >= least):
+                raise ValueError(f"{name} must be a whole number >= {least}, got {size}")
+            setattr(self, name, int(size))
 
     def base_generator_config(self) -> GeneratorConfig:
         return GeneratorConfig(class2_mean=CLASS1_MEAN, seed=0,
@@ -140,17 +136,20 @@ class ExperimentConfig:
         raise ValueError(f"{method} has no scale factor")
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(Record):
     """One (dataset, method) cell; ``model`` is an SVM-scored method's classifier,
-    None for the DCA, in ``run_experiment``'s table and in a table read from CSV."""
+    None for the DCA, in ``run_experiment``'s table and in a table read from CSV.
+    Rows compare without their models."""
 
-    dataset_index: int
-    centroid_distance: float
-    method: Method
-    error_rate: float
-    tuned_parameter: float | None
-    model: svm_mod.LinearModel | None = field(default=None, compare=False, repr=False)
+    def __init__(self, dataset_index: int, centroid_distance: float, method: Method,
+                 error_rate: float, tuned_parameter: float | None,
+                 model: svm_mod.LinearModel | None = None) -> None:
+        self.dataset_index, self.centroid_distance = dataset_index, centroid_distance
+        self.method, self.error_rate, self.tuned_parameter = method, error_rate, tuned_parameter
+        self.model = model
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ResultRow and vars(self) | {"model": 0} == vars(other) | {"model": 0}
 
 
 class DatasetInputs:
@@ -232,15 +231,13 @@ def _parse_row(line: str) -> ResultRow:
     return row
 
 
-@dataclass(frozen=True)
-class ResultsTable:
+class ResultsTable(Record):
     """Per-dataset, per-method error rates, ordered by (dataset, method).
     Every dataset holds exactly one row per method."""
 
-    rows: tuple[ResultRow, ...]
-
-    def __post_init__(self) -> None:
-        cells = Counter((r.dataset_index, r.method) for r in self.rows)
+    def __init__(self, rows: tuple[ResultRow, ...]) -> None:
+        self.rows = rows
+        cells = Counter((r.dataset_index, r.method) for r in rows)
         for method, index in product(self.methods(), self.dataset_indexes()):
             if (count := cells[index, method]) != 1:
                 raise ValueError(f"results need one {method} row for dataset {index}, got {count}")
@@ -319,8 +316,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairComparison:
+class PairComparison(NamedTuple):
     pool: str
     a: Method
     b: Method
@@ -328,16 +324,14 @@ class PairComparison:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class OrderingLink:
+class OrderingLink(NamedTuple):
     better: Method
     worse: Method
     p_value: float | None
     significant: bool
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     significance: float
     normality: tuple[tuple[Method, TestReport | None], ...]
     two_sided: tuple[PairComparison, ...]

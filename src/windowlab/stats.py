@@ -16,10 +16,11 @@ tied magnitudes receive midranks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
+
+from . import Record
 
 _NORMAL = NormalDist()
 
@@ -33,41 +34,30 @@ class DegenerateSampleError(ValueError):
     """The sample carries no usable signal (zero variance or no nonzero pairs)."""
 
 
-@dataclass(frozen=True, eq=False)
 class PairedSample:
     """Two equal-length result vectors paired by index."""
 
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.ndim != 1 or a.shape != b.shape:
+    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+        self.a, self.b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if self.a.ndim != 1 or self.a.shape != self.b.shape:
             raise ValueError("paired samples must be 1-d and of equal length")
-        if a.size < 2:
+        if self.a.size < 2:
             raise ValueError("paired samples need at least 2 pairs")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
     @property
     def differences(self) -> np.ndarray:
         return self.a - self.b
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(Record):
     """Outcome of one hypothesis test."""
 
-    test: str
-    statistic: float
-    p_value: float
-    alternative: str
-    n_effective: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError(f"p-value {self.p_value} outside [0, 1]")
+    def __init__(self, test: str, statistic: float, p_value: float, alternative: str,
+                 n_effective: int) -> None:
+        if not 0.0 <= p_value <= 1.0:
+            raise ValueError(f"p-value {p_value} outside [0, 1]")
+        self.test, self.statistic, self.p_value = test, statistic, p_value
+        self.alternative, self.n_effective = alternative, n_effective
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ rescaling of ``(w, b)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datagen import InstanceSeries, read_only, require_finite
@@ -42,36 +40,28 @@ class DegenerateModelError(ValueError):
     """The trained weight vector is (numerically) zero, so distances are undefined."""
 
 
-@dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Weights, bias and dual state of a trained classifier."""
+    """Weights, bias and dual state of a trained classifier, with the pair
+    updates the solver took and its final maximal KKT violation."""
 
-    w: np.ndarray
-    b: float
-    alphas: np.ndarray
-    C: float
-    #: Pair updates the solver took, and its final maximal KKT violation.
-    pair_updates: int = 0
-    gap: float = np.nan
+    def __init__(self, w: np.ndarray, b: float, alphas: np.ndarray, C: float,
+                 pair_updates: int = 0, gap: float = np.nan) -> None:
+        self.w, self.b, self.alphas, self.C = w, b, alphas, C
+        self.pair_updates, self.gap = pair_updates, gap
 
 
-@dataclass(frozen=True, eq=False)
 class ScoreSeries:
     """Time-ordered signed distances with the matching ground-truth labels."""
 
-    scores: np.ndarray
-    truths: np.ndarray
-
-    def __post_init__(self) -> None:
-        scores = read_only(self.scores, float)
-        truths = np.asarray(self.truths)
+    def __init__(self, scores: np.ndarray, truths: np.ndarray) -> None:
+        scores = read_only(scores, float)
+        truths = np.asarray(truths)
         if scores.shape != truths.shape or scores.ndim != 1:
             raise ValueError("scores and truths must be 1-d arrays of equal length")
         if scores.size == 0 or not np.all(np.abs(truths) == 1):
             raise ValueError("score series must be nonempty, with truth labels -1 or +1")
         require_finite(scores, "score")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "truths", read_only(truths, int))
+        self.scores, self.truths = scores, read_only(truths, int)
 
     def __len__(self) -> int:
         return self.scores.shape[0]

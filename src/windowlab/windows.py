@@ -30,11 +30,11 @@ parameter grid, one lane of edges per value; ties go to the smallest.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
+from . import Record
 from .svm import ScoreSeries
 
 
@@ -47,19 +47,15 @@ def sign_labels(values) -> np.ndarray:
     return np.where(np.asarray(values) >= 0, 1, -1)
 
 
-@dataclass(frozen=True)
-class WindowSizeGrid:
+class WindowSizeGrid(Record):
     """A set of candidate window widths, stored sorted and deduplicated."""
 
-    sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if bad := [s for s in self.sizes if not (float(s).is_integer() and s >= 1)]:
+    def __init__(self, sizes: tuple[int, ...]) -> None:
+        if bad := [s for s in sizes if not (float(s).is_integer() and s >= 1)]:
             raise ValueError(f"window sizes must be whole numbers >= 1, got {bad[0]}")
-        cleaned = tuple(sorted({int(s) for s in self.sizes}))
-        if not cleaned:
+        self.sizes = tuple(sorted({int(s) for s in sizes}))
+        if not self.sizes:
             raise ValueError("window-size grid is empty")
-        object.__setattr__(self, "sizes", cleaned)
 
 
 def default_size_grid(m: int) -> WindowSizeGrid:
@@ -67,26 +63,21 @@ def default_size_grid(m: int) -> WindowSizeGrid:
     return WindowSizeGrid(tuple(range(1, m + 1)))
 
 
-@dataclass(frozen=True, eq=False)
 class ThresholdGrid:
     """A strictly increasing set of dynamic-window budgets and its scale factor."""
 
-    thresholds: np.ndarray
-    lam: float
-
-    def __post_init__(self) -> None:
-        thr = np.asarray(self.thresholds, dtype=float)
+    def __init__(self, thresholds: np.ndarray, lam: float) -> None:
+        thr = np.asarray(thresholds, dtype=float)
         if thr.ndim != 1 or thr.size == 0:
             raise ValueError("threshold grid must be a nonempty 1-d array")
         if not np.all(thr > 0):
             raise ValueError("thresholds must be positive")
         if not np.all(np.diff(thr) > 0):
             raise ValueError("thresholds must be strictly increasing")
-        object.__setattr__(self, "thresholds", thr)
+        self.thresholds, self.lam = thr, lam
 
 
-@dataclass(frozen=True)
-class TunedFilter:
+class TunedFilter(NamedTuple):
     """Result of grid tuning: the filter kind, its parameter and training error."""
 
     kind: Literal["static", "dynamic"]
@@ -210,11 +201,11 @@ def budget_walk(
       windows maps the first m edges to the next m, then ``s[s]`` jumps 2m.
       The lane is a batch of its own.  Ends only move forward as the budget
       grows, so ``s`` is kept with its end values, ``cum_mag[end]`` right and
-      ``before[end]`` left, and a step under the mean magnitude re-searches
-      only ends whose value now meets the target (``<=`` right, ``<`` left)
-      and refreshes their values.  If none does, ``s`` and so the path are
-      unchanged, and the last table lane is yielded again: its edges are
-      read-only.  Other steps rebuild ``s``.  The doubling's buffers are made
+      ``before[end]`` left, inf at n, and a step under the mean magnitude
+      re-searches only ends whose value now meets the target (``<=`` right,
+      ``<`` left) and refreshes their values.  If none does, ``s`` and so the
+      path are unchanged, and the last table lane is yielded again: its edges
+      are read-only.  Other steps rebuild ``s``.  The doubling's buffers are made
       on the walk's first table lane and kept for the walk; a lane is a copy;
     * few windows (under n / ``_BISECT_STEP_COST``): each step bisects the
       prefix sums from ``start`` alone, so the lane costs its windows, not n.
@@ -229,7 +220,8 @@ def budget_walk(
     floor = np.arange(1, n + 2)
     total = float(cum_mag[-1])
     cum = pre = scratch = None
-    stop, passed = (cum_mag, np.less_equal) if side == "right" else (before, np.less)
+    stop, passed = (before, np.less) if side == "left" else (  # inf at n, as before[n]
+        np.append(cum_mag, np.inf), np.less_equal)
     target, last = np.empty(n + 1), np.inf  # the kept table's targets and budget, inf for none
     edges, starts = [], []  # the sparse lanes' batch
     for budget in budgets:
@@ -262,13 +254,13 @@ def budget_walk(
                     yield lane
                     continue
                 ends = np.minimum(cum_mag.searchsorted(target[moved], side) + (side == "left"), n)
-                table[moved], at_end[moved] = ends, stop.take(ends, mode="clip")
+                table[moved], at_end[moved] = ends, stop.take(ends)
             else:
                 table = cum_mag.searchsorted(target, side)
                 table += side == "left"
                 np.maximum(table, floor, out=table)
                 np.minimum(table, n, out=table)
-                at_end = stop.take(table[:n], mode="clip")
+                at_end = stop.take(table[:n])
             if scratch is None:  # the doubling's buffers, made once a walk needs them
                 scratch, succ, jump = np.zeros(2 * n, np.intp), table.copy(), table.copy()
             # m <= windows <= n, so indices stay in range; clip mode skips take's copy of out

@@ -9,9 +9,11 @@ treatment: building one rejects non-finite scores, no rows and bad truths, and
 rejects non-finite signals, no rows, safe and danger of different lengths
 and signals outside [0, 1].  A static window width that is not a whole number
 is rejected wherever it enters: a width grid, ``static_label`` and a tuned
-filter's ``apply``.
+filter's ``apply``.  An experiment's seed and sizes that are not whole numbers
+are rejected when its config is built.
 """
 
+import re
 import time
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from windowlab import dca
 from windowlab.datagen import InstanceSeries
+from windowlab.harness import ExperimentConfig
 from windowlab.svm import ScoreSeries, score_series, train
 from windowlab.windows import (
     TunedFilter,
@@ -192,3 +195,22 @@ class TestBadWidth:
         whole = static_label(scores, 3)
         assert np.array_equal(static_label(scores, 3.0), whole)
         assert np.array_equal(apply(TunedFilter("static", np.int64(3), 0.0), scores), whole)
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("setting, least", [("seed", 0), ("n_datasets", 2), ("n_train", 1),
+                                                ("n_test", 1)])
+    @pytest.mark.parametrize("value", [2.5, -4.0, float("nan"), float("inf")])
+    def test_a_seed_or_size_out_of_whole_range_is_named(self, setting, least, value):
+        # seed=1.5 used to run seed 1's suite; a size of 2.5 failed at the first
+        # dataset with a bare TypeError
+        pattern = re.escape(f"{setting} must be a whole number >= {least}, got {value}")
+        rejects(lambda: ExperimentConfig(**{"seed": 1, setting: value}), pattern)
+
+    def test_whole_floats_are_used_as_integers(self):
+        cfg = ExperimentConfig(seed=7.0, n_datasets=2.0, n_train=8.0, n_test=12.0)
+        got = cfg.seed, cfg.n_datasets, cfg.n_train, cfg.n_test
+        assert got == (7, 2, 8, 12) and all(type(v) is int for v in got)
+        assert [len(ds.train) + len(ds.test) for ds in cfg.datasets()] == [20, 20]
+        # a whole seed past the largest float is a valid SeedSequence entropy
+        assert ExperimentConfig(seed=2**1100).seed == 2**1100

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import windowlab
 from windowlab import cli, harness
 from windowlab.cli import _build_parser, _experiment_config, _resolve, main
 
@@ -125,7 +130,7 @@ class TestRunAndAnalyze:
 
     def test_negative_seed_is_named(self, tmp_path, capsys):
         assert main(["run", "--seed", "-1", "--out", str(tmp_path), *FAST]) == 1
-        assert "suite seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "seed must be a whole number >= 0, got -1" in capsys.readouterr().err
 
     def test_unknown_method_is_reported(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path), "--methods", "LNC,BOGUS", *FAST])
@@ -256,3 +261,12 @@ def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_import_loads_no_dataclasses():
+    """Records are plain classes: a fresh ``import numpy, windowlab.cli`` leaves
+    ``dataclasses`` unloaded, so no class's methods are generated at import."""
+    probe = "import sys, numpy, windowlab.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(windowlab.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")

@@ -547,7 +547,7 @@ class TestTableReuse:
     @pytest.mark.parametrize(
         "increments, budgets, rebuilds, searches",
         [
-            (GRID_INCREMENTS, GRID_LADDER, 1, {"left": 8, "right": 31}),
+            (GRID_INCREMENTS, GRID_LADDER, 1, {"left": 8, "right": 8}),
             (GRID_INCREMENTS, GRID_LADDER[::-1], 100, {"left": 100, "right": 100}),
             # lambda = 100: each step is the peak, at least the mean
             (
@@ -607,12 +607,20 @@ class TestTableReuse:
             lanes[0][1] = 0
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_each_step_searches_exactly_the_ends_it_moves(self, side):
+    @pytest.mark.parametrize(
+        "increments",
+        [
+            # the last index is above every budget, so no window reaches n before it
+            pytest.param(np.append(GRID_INCREMENTS, 50.0), id="last-index-above-budgets"),
+            # ends in 5/32, 0, 0, 1/32, 3/32, 0: the windows of 2, then 5, then 6
+            # starts reach n as the budget grows, and stay there
+            pytest.param(GRID_INCREMENTS[::-1], id="windows-reach-n"),
+        ],
+    )
+    def test_each_step_searches_exactly_the_ends_it_moves(self, side, increments):
         """An end moved by one step and passed again two steps later is searched
         at each of those steps and at no step between, which moves no end and
-        yields the last lane again.  The last index is above every budget, so no
-        window reaches n before it and every end a step passes moves."""
-        increments = np.append(GRID_INCREMENTS, 50.0)
+        yields the last lane again.  An end at n cannot move and is not searched."""
         # odd multiples of 1/128: every other step of 1/64 crosses a multiple of
         # 1/32, where ends can move; the steps between cross none
         budgets = np.arange(1, 40, 2) / 128
