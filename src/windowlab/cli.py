@@ -166,6 +166,7 @@ def _cmd_sweep_gains(settings: dict) -> int:
 
 def _cmd_all(settings: dict) -> int:
     cfg = _experiment_config(settings)
+    Path(settings["out"]).mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
     results = harness.run_experiment(cfg)
     report = harness.analyze(results)
     paths = harness.emit_outputs(results, report, cfg, settings["out"])

@@ -23,8 +23,8 @@ One expecting few bisects the prefix sums window by window and shares a batch,
 so a coarse budget costs its windows, not the series length.  In the DCA a
 window closes on reaching its budget, not within it.
 
-Tuning is exhaustive minimization of the mean squared label error over a
-parameter grid, one lane of edges per value; ties go to the smallest.
+Tuning takes the first grid value of least mean squared label error, one lane
+of edges per value, and walks no lane past the first value with none wrong.
 """
 
 from __future__ import annotations
@@ -128,23 +128,28 @@ def static_label(series: ScoreSeries, alpha: int) -> np.ndarray:
 
 def _lane_errors(series: ScoreSeries, batches: Iterable[tuple]) -> np.ndarray:
     """Each lane's mean squared label error ``4 * wrong / n``, batches taken in
-    lane order.  A -1 window gets its positives wrong, a +1 window its negatives:
-    all positives, plus per +1 window its window sum of -truth, its width less
-    twice its positives.  Integer terms, so sums are exact; a batch yielded
-    again (the same sums object) keeps its counts."""
+    lane order up to the first holding a lane with none wrong: a prefix whose
+    first 0 is the argmin.  A -1 window gets its positives wrong, a +1 window
+    its negatives: all positives, plus per +1 window its window sum of -truth,
+    its width less twice its positives.  Integer terms, so sums are exact; a
+    batch yielded again (the same sums object) keeps its counts."""
     cum = np.zeros((2, len(series) + 1))
     np.cumsum(series.scores, out=cum[0, 1:])
     np.cumsum(-series.truths, out=cum[1, 1:])
+    positives = int(np.sum(series.truths > 0))
     counts, prev = [], None
     for _, starts, sums in window_sums(cum, batches):
         if sums is not prev:
             batch, prev = np.add.reduceat(sums[1] * (sums[0] >= 0), starts), sums
         counts.append(batch)
-    return (4 * (np.sum(series.truths > 0) + np.concatenate(counts))) / len(series)
+        if batch.min() == -positives:  # none wrong: no later lane can take the argmin
+            break
+    return (4 * (positives + np.concatenate(counts))) / len(series)
 
 
 def _tune(kind, series: ScoreSeries, params, batches: Iterable[tuple]) -> TunedFilter:
-    """The parameter whose lane mislabels fewest instances; ties go to the first."""
+    """The parameter whose lane mislabels fewest instances; ties go to the first,
+    so no lane is walked past the first that mislabels none."""
     errors = _lane_errors(series, batches)
     best = int(np.argmin(errors))
     return TunedFilter(kind, float(params[best]), float(errors[best]))

@@ -158,6 +158,20 @@ class TestAll:
         assert main(["all", "--seed", "13", "--out", str(out_b), *FAST]) == 0
         assert (out_a / "error_rates.csv").read_bytes() != (out_b / "error_rates.csv").read_bytes()
 
+    def test_an_out_that_is_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        entered = []
+
+        def run_experiment(*args):
+            entered.append(args)
+            raise RuntimeError("the experiment ran")
+
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["all", "--out", str(out), *FAST]) == 1
+        assert "File exists" in capsys.readouterr().err
+        assert not entered
+
 
 class TestSweepGains:
     def test_writes_csv(self, tmp_path):

@@ -316,18 +316,21 @@ class TestInPlaceSolverParity:
         assert t == first_t if first_t else t < C
         self.assert_same_outcome(feats, labels, C)
 
-    @pytest.mark.parametrize("seed, updates", [(6, 14_608), (42, 32_300)])
-    def test_slow_small_splits_converge_like_the_oracle(self, seed, updates):
+    @pytest.mark.parametrize("seed", [6, 42])
+    def test_slow_small_splits_converge_like_the_oracle(self, seed):
         # Wide, overlapping draws whose gap goes 10,000 updates without a new
-        # minimum (seed 6 from update 0, seed 42 from update 19,265) and then
-        # converges; a stall stop of 10,000 updates at every n <= 1,000 cut both.
+        # minimum (seed 6 from update 0; seed 42 from update 19,265 under
+        # SkylakeX) and then converges; a stall stop of 10,000 updates at every
+        # n <= 1,000 cut them.  The count follows the BLAS kernel's rounding
+        # (SkylakeX 14,608 and 32,300, Haswell 14,603 and 32,312), so the test
+        # pins only that both runs pass the old cut.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 41))
         labels = rng.choice([-1, 1], n)
         feats, C = rng.normal(0.0, 5.0, (n, 3)), float(rng.uniform(10.0, 100.0))
         ref = smo_train(feats, labels, C)
         self.assert_same_model(train(series(feats, labels), C), ref, 1e-3)
-        assert ref["pair_updates"] == updates
+        assert ref["pair_updates"] > 10_000  # and so train's, which equals it
 
     def test_heaviest_long_series_split(self):
         # The long-series benchmark workload's slowest training split (4,477

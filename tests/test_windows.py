@@ -782,6 +782,112 @@ class TestTuningIsArgmin:
             assert tuned.training_error <= err + 1e-12
 
 
+def batches_taken(monkeypatch, name):
+    """Per call of ``windows.<name>``, the batches tuning took from it and the
+    batches the whole walk holds."""
+    real, calls = getattr(windows, name), []
+
+    def counted(*args):
+        calls.append([0, sum(1 for _ in real(*args))])
+        for batch in real(*args):
+            calls[-1][0] += 1
+            yield batch
+
+    monkeypatch.setattr(windows, name, counted)
+    return calls
+
+
+def weak_pair(block):
+    """Four blocks of ``block`` truths, +1 first, each scored by its sign but
+    the first two: 0.25 and -0.125, so the second is wrong in a window alone."""
+    truths = np.tile(np.repeat([1, -1], block), 2)
+    scores = truths * 1.0
+    scores[:2] = 0.25, -0.125
+    return make_series(scores, truths)
+
+
+def two_blocks(head):
+    """40 instances, +1 for the first ``head``, scored by their signs but the
+    last at -2: a 21-budget lambda = 100 ladder starts at about 9.52, 19.05, so
+    its first lanes are windows of 9, then of 19, in one shared bisect batch."""
+    truths = np.repeat([1, -1], [head, 40 - head])
+    scores = truths * 1.0
+    scores[-1] = -2.0
+    return make_series(scores, truths)
+
+
+SIGNS = make_series(np.repeat([1.0, -1.0, 1.0, -1.0], 10))
+
+
+class TestTuningStopsAtTheFirstPerfectValue:
+    """An error of 0 is least and ties go to the first value, so tuning takes no
+    batch past the one holding the first lane with no wrong label."""
+
+    @pytest.mark.parametrize("series, grid, index, taken", [
+        # the first value is perfect: one batch, of width 1 alone
+        pytest.param(SIGNS, default_size_grid(40), 0, 1, id="static-first"),
+        # of the first table lane
+        pytest.param(SIGNS, make_threshold_grid(SIGNS, 10, 1.0), 0, 1, id="lambda1-first"),
+        # of 16 bisect lanes, the first perfect
+        pytest.param(two_blocks(18), make_threshold_grid(two_blocks(18), 21, 100.0), 0, 1,
+                     id="lambda100-first"),
+        # widths 1 | 2 3 4 | ...: width 1 has one wrong, 2 two, 3 none
+        pytest.param(weak_pair(9), default_size_grid(36), 2, 2, id="static-mid"),
+        # budgets of 1/16 to 5/16 keep the -0.125 alone, 6/16 pairs it: 6 table lanes
+        pytest.param(weak_pair(9), make_threshold_grid(weak_pair(9), 16, 1.0), 5, 6,
+                     id="lambda1-mid"),
+        # windows of 9 get one wrong, of 19 none: the second lane of the first batch
+        pytest.param(two_blocks(19), make_threshold_grid(two_blocks(19), 21, 100.0), 1, 1,
+                     id="lambda100-mid"),
+    ])
+    def test_batches_taken(self, monkeypatch, series, grid, index, taken):
+        static = isinstance(grid, WindowSizeGrid)
+        calls = batches_taken(monkeypatch, "_static_batches" if static else "budget_walk")
+        tuned = (tune_static if static else tune_dynamic)(series, grid)
+        params = grid.sizes if static else grid.thresholds
+        assert (tuned.parameter, tuned.training_error) == (params[index], 0.0)
+        (walk,) = calls
+        assert walk[0] == taken < walk[1]
+        labels = oracles.static_labels if static else oracles.dynamic_labels
+        errors = [oracles.mean_square_label_error(labels(series.scores, p), series.truths)
+                  for p in params[: index + 1]]
+        assert errors[-1] == 0.0 not in errors[:-1]
+
+    @pytest.mark.parametrize("kind", ["static", "dynamic"])
+    def test_matches_the_oracle_wherever_the_zeros_fall(self, kind):
+        """Truths copied from the oracle's labels at the first, middle and last
+        grid value; nonnegative scores with +1 truths, where every value is
+        perfect; and an opening score that outweighs the rest against a -1
+        truth, where none is.  Grid scores and budgets, so labels are exact."""
+        places = set()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 61))
+            scores = rng.integers(-96, 97, n) / 32.0
+            if kind == "static":
+                params = tuple(range(1, int(rng.integers(2, n + 1)) + 1))
+                grid, tune = WindowSizeGrid(params), tune_static
+                labels, oracle = oracles.static_labels, oracles.tune_static
+            else:
+                params = np.unique(rng.integers(1, 64 * 8, 12)) / 64.0
+                grid, tune = ThresholdGrid(params, 1.0), tune_dynamic
+                labels, oracle = oracles.dynamic_labels, oracles.tune_dynamic
+            outweighed = scores.copy()
+            outweighed[0] = 1.0 + np.abs(scores[1:]).sum()
+            cases = [(scores, labels(scores, params[k])) for k in (0, len(params) // 2, -1)]
+            cases += [(np.abs(scores), np.ones(n, int)),
+                      (outweighed, np.r_[-1, labels(outweighed, params[-1])[1:]])]
+            for values, truths in cases:
+                errors = [oracles.mean_square_label_error(labels(values, p), truths)
+                          for p in params]
+                zeros = [k for k, e in enumerate(errors) if e == 0.0]
+                places.add("nowhere" if not zeros else "all tied" if len(zeros) == len(errors)
+                           else {0: "first", len(errors) - 1: "last"}.get(zeros[0], "mid-grid"))
+                tuned = tune(make_series(values, truths), grid)
+                assert (tuned.parameter, tuned.training_error) == oracle(values, truths, params)
+        assert places == {"first", "mid-grid", "last", "all tied", "nowhere"}
+
+
 @pytest.mark.parametrize("lam", [1.0, 100.0])
 def test_tune_dynamic_memory_is_one_lane_at_a_time(lam):
     # 1,000 instances, 100 budgets: a lanes x n table would alone exceed the bound.
