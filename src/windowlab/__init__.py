@@ -14,3 +14,10 @@ class Record:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+def whole_number(value, name: str, least: int) -> int:
+    """``value`` as an int, if a whole number >= ``least`` (an int may exceed any float)."""
+    if not ((isinstance(value, int) or float(value).is_integer()) and value >= least):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value}")
+    return int(value)

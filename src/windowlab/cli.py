@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+Commands, given before or after the flags:
 
 * ``generate``    - write the benchmark suite's dataset CSVs
 * ``run``         - run the experiment and write error_rates.csv
@@ -66,12 +66,10 @@ def _read_config_file(path: str) -> dict:
 
 
 def _parse_lambda(text: str, high: float) -> tuple[float, float]:
-    parts = [p for p in text.split(",") if p != ""]
-    if len(parts) == 1:
-        return float(parts[0]), high
-    if len(parts) == 2:
-        return float(parts[0]), float(parts[1])
-    raise ValueError(f"--lambda takes one or two comma-separated values, got {text!r}")
+    parts = text.split(",")
+    if len(parts) > 2 or not all(part.strip() for part in parts):
+        raise ValueError(f"--lambda takes one or two comma-separated values, got {text!r}")
+    return float(parts[0]), float(parts[1]) if len(parts) == 2 else high
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -190,13 +188,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Benchmark window-filtered linear classifiers and the "
         "deterministic dendritic-cell detector on noisy time-ordered data.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value settings file")
-        for key, (default, text) in _SETTINGS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                           help=f"{text} (default {default})")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="key=value settings file")
+    for key, (default, text) in _SETTINGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                            help=f"{text} (default {default})")
     return parser
 
 

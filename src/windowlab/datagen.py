@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import Record
+from . import Record, whole_number
 
 NORMAL_LABEL = -1
 ANOMALOUS_LABEL = 1
@@ -60,16 +60,15 @@ class GeneratorConfig(Record):
     def __init__(self, class2_mean: float, seed: int, n_train: int = n_train,
                  n_test: int = n_test) -> None:
         for name, n in (("n_train", n_train), ("n_test", n_test)):
-            if n <= 0 or n % 4 != 0:
+            if whole_number(n, name, 1) % 4 != 0:
                 raise ValueError(f"{name} must be a positive multiple of 4, got {n}")
-        if class2_mean < CLASS1_MEAN:
-            raise ValueError(
-                f"class2_mean ({class2_mean}) must not be below "
-                f"CLASS1_MEAN ({CLASS1_MEAN})"
-            )
-        if not 0 <= int(seed) < 2**64:
+        if not CLASS1_MEAN <= class2_mean < np.inf:
+            raise ValueError(f"class2_mean must be finite and at least CLASS1_MEAN "
+                             f"({CLASS1_MEAN}), got {class2_mean}")
+        if (seed := whole_number(seed, "seed", 0)) >= 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-        self.class2_mean, self.seed, self.n_train, self.n_test = class2_mean, seed, n_train, n_test
+        self.class2_mean, self.seed, self.n_train, self.n_test = (
+            class2_mean, seed, int(n_train), int(n_test))
 
 
 def require_finite(values: np.ndarray, name: str) -> None:

@@ -20,8 +20,10 @@ anomalous when the mean of its received votes is >= 0.
 Their accumulate-and-reset behaviour gives each cell the same disjoint,
 contiguous, covering window structure as the dynamic moving-window filter, with
 csm as the score magnitude: each cell is one lane of edges from
-``windows.budget_walk``, closing on reaching the lifespan where a dynamic
-window stays within its budget.  A cell's vote in a window is its sum of k
+``windows.budget_walk``.  A window ends at the first index whose key its
+target does not pass: a dynamic window's key is the sum through the index,
+passed at ``<=``, and a cell's the sum before it, passed at ``<``, so a cell
+presents on reaching its lifespan.  A cell's vote in a window is its sum of k
 from ``windows.window_sums``, the window sum the filters sign; a batch of
 lanes adds its votes in one call, in the order of a window-by-window loop.
 """

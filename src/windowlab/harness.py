@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import Record, dca, freq, windows
+from . import Record, dca, freq, whole_number, windows
 from . import svm as svm_mod
 from .datagen import (
     CLASS1_MEAN,
@@ -112,10 +112,7 @@ class ExperimentConfig(Record):
                                   ("n_train", 1, n_train), ("n_test", 1, n_test),
                                   ("window_grid", 1, window_grid),
                                   ("threshold_grid", 1, threshold_grid)):
-            whole = isinstance(size, int) or float(size).is_integer()  # a seed may exceed any float
-            if not (whole and size >= least):
-                raise ValueError(f"{name} must be a whole number >= {least}, got {size}")
-            setattr(self, name, int(size))
+            setattr(self, name, whole_number(size, name, least))
 
     def base_generator_config(self) -> GeneratorConfig:
         return GeneratorConfig(class2_mean=CLASS1_MEAN, seed=0,

@@ -14,14 +14,17 @@ of about n edges: their edges concatenated, and where each lane starts.  Only
 ``window_sums`` reads their window sums: one gather, the pair straddling two
 lanes zeroed, the same sums for a lane yielded again.  Static edges are every
 ``alpha``-th index.  Dynamic edges come from ``budget_walk``, which ``dca``
-shares: a window's end depends only on its start, so each budget's windows
-are a path from index 0.  A budget expecting many windows walks a successor
-table of all starts by pointer doubling, about log2(windows) array steps, as a
-batch of its own; the next one, if a small step up, re-searches only the ends
-that step passed, and if it passed none yields the same read-only lane again.
-One expecting few bisects the prefix sums window by window and shares a batch,
-so a coarse budget costs its windows, not the series length.  In the DCA a
-window closes on reaching its budget, not within it.
+shares: the window from ``start`` ends at the first index after it whose key
+the target ``p[start] + budget`` does not pass, or at n.  The filter's key is
+the prefix sum through the index, passed at ``<=``; the DCA's is the sum
+before it, passed at ``<``, so a DCA window closes on reaching its budget.
+An end depends only on its start, so each budget's windows are a path from
+index 0.  A budget expecting many windows walks a successor table of all
+starts by pointer doubling, about log2(windows) array steps, as a batch of its
+own; the next one, if a small step up, re-searches only the ends that step
+passed, and if it passed none yields the same read-only lane again.  One
+expecting few bisects the keys window by window and shares a batch, so a
+coarse budget costs its windows, not the series length.
 
 Tuning takes the first grid value of least mean squared label error, one lane
 of edges per value, and walks no lane past the first value with none wrong.
@@ -34,7 +37,7 @@ from typing import Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from . import Record
+from . import Record, whole_number
 from .svm import ScoreSeries
 
 
@@ -163,8 +166,7 @@ def tune_static(series: ScoreSeries, grid: WindowSizeGrid) -> TunedFilter:
 def budget_ladder(peak: float, m: int, lam: float) -> np.ndarray:
     """Budgets peak * (l/m) * lam for l = 1..m: the dynamic window's threshold
     grid and the DCA's lifespans.  Each caller rejects its own zero peak."""
-    if not (float(m).is_integer() and m >= 1):
-        raise ValueError(f"ladder size must be a whole number >= 1, got {m}")
+    m = whole_number(m, "ladder size", 1)
     if not 0 < lam < np.inf:
         raise ValueError(f"scale factor must be positive and finite, got {lam}")
     return peak * (np.arange(1, m + 1, dtype=float) / m) * lam
@@ -194,26 +196,26 @@ def budget_walk(
     """Yield each budget's window edges over prefix sums of nonnegative
     magnitudes: batches of lanes, in budget order.
 
-    The window from ``start`` ends where ``cum_mag[start - 1] + budget`` (0.0
-    before the first index) is met: at the last index at or below it for
-    ``side="right"``, the first reaching it for ``side="left"``, clipped to
-    ``[start + 1, n]``.  That end depends on the start alone, so a lane is the
-    path from 0 through it, found in one of two ways chosen by the lane's
-    expected window count ``cum_mag[-1] / budget``:
+    The window from ``start`` ends at the first index after it whose key the
+    target ``before[start] + budget`` does not pass, or at n (``before`` is
+    0.0, then ``cum_mag[:-1]``).  The keys are ``cum_mag`` passed at ``<=`` for
+    ``side="right"``, ``before`` passed at ``<`` for ``side="left"``.  That end
+    depends on the start alone, so a lane is the path from 0 through it, found
+    in one of two ways chosen by the lane's expected window count
+    ``cum_mag[-1] / budget``:
 
     * many windows: ``searchsorted`` gives the successor table ``s`` of every
-      start, and of start n, whose floor n + 1 clips to n; ``s`` jumping m
+      start, and of start n, clipped to ``[start + 1, n]``; ``s`` jumping m
       windows maps the first m edges to the next m, then ``s[s]`` jumps 2m.
       The lane is a batch of its own.  Ends only move forward as the budget
-      grows, so ``s`` is kept with its end values, ``cum_mag[end]`` right and
-      ``before[end]`` left, inf at n, and a step under the mean magnitude
-      re-searches only ends whose value now meets the target (``<=`` right,
-      ``<`` left) and refreshes their values.  If none does, ``s`` and so the
-      path are unchanged, and the last table lane is yielded again: its edges
-      are read-only.  Other steps rebuild ``s``.  The doubling's buffers are made
+      grows, so ``s`` is kept with its ends' keys, inf at n, and a step under
+      the mean magnitude re-searches only ends whose key the target now passes
+      and refreshes their keys.  If none does, ``s`` and so the path are
+      unchanged, and the last table lane is yielded again: its edges are
+      read-only.  Other steps rebuild ``s``.  The doubling's buffers are made
       on the walk's first table lane and kept for the walk; a lane is a copy;
     * few windows (under n / ``_BISECT_STEP_COST``): each step bisects the
-      prefix sums from ``start`` alone, so the lane costs its windows, not n.
+      keys from ``start + 1`` alone, so the lane costs its windows, not n.
       Such lanes share a batch, yielded once it holds n edges or a table lane is next.
 
     Both compute the same float target and clip, so they give the same edges.
@@ -225,8 +227,10 @@ def budget_walk(
     floor = np.arange(1, n + 2)
     total = float(cum_mag[-1])
     cum = pre = scratch = None
-    stop, passed = (before, np.less) if side == "left" else (  # inf at n, as before[n]
-        np.append(cum_mag, np.inf), np.less_equal)
+    # each index's key, inf at n, the test it passes, and the search for the first that fails
+    stop, passed, bisect = (before, np.less, bisect_left) if side == "left" else (
+        np.append(cum_mag, np.inf), np.less_equal, bisect_right)
+    keys = stop[:n]
     target, last = np.empty(n + 1), np.inf  # the kept table's targets and budget, inf for none
     edges, starts = [], []  # the sparse lanes' batch
     for budget in budgets:
@@ -237,19 +241,14 @@ def budget_walk(
             yield batch
         if sparse:
             if cum is None:
-                cum, pre = cum_mag.tolist(), before.tolist()
+                pre = before.tolist()
+                cum = pre if stop is before else stop.tolist()
             start = 0
             starts.append(len(edges))
             edges.append(0)
-            # bisect's bounds carry the clip to [start + 1, n]
-            if side == "right":
-                while start < n:
-                    start = bisect_right(cum, pre[start] + budget, start + 1, n)
-                    edges.append(start)
-            else:
-                while start < n:
-                    start = bisect_left(cum, pre[start] + budget, start, n - 1) + 1
-                    edges.append(start)
+            while start < n:  # bisect's bounds carry the clip to [start + 1, n]
+                start = bisect(cum, pre[start] + budget, start + 1, n)
+                edges.append(start)
         else:
             np.add(before, budget, out=target)
             step, last = budget - last, budget
@@ -258,11 +257,10 @@ def budget_walk(
                 if not moved.size:  # the table, so the path, is unchanged
                     yield lane
                     continue
-                ends = np.minimum(cum_mag.searchsorted(target[moved], side) + (side == "left"), n)
+                ends = np.minimum(keys.searchsorted(target[moved], side), n)
                 table[moved], at_end[moved] = ends, stop.take(ends)
             else:
-                table = cum_mag.searchsorted(target, side)
-                table += side == "left"
+                table = keys.searchsorted(target, side)
                 np.maximum(table, floor, out=table)
                 np.minimum(table, n, out=table)
                 at_end = stop.take(table[:n])

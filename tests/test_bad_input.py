@@ -9,8 +9,9 @@ treatment: building one rejects non-finite scores, no rows and bad truths, and
 rejects non-finite signals, no rows, safe and danger of different lengths
 and signals outside [0, 1].  A static window width that is not a whole number
 is rejected wherever it enters: a width grid, ``static_label`` and a tuned
-filter's ``apply``.  An experiment's seed and sizes that are not whole numbers
-are rejected when its config is built.
+filter's ``apply``.  An experiment's or a dataset's seed and sizes that are
+not whole numbers, and a dataset's class mean that is not finite, are rejected
+when its config is built.
 """
 
 import re
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windowlab import dca
-from windowlab.datagen import InstanceSeries
+from windowlab.datagen import Dataset, GeneratorConfig, InstanceSeries
 from windowlab.harness import ExperimentConfig
 from windowlab.svm import ScoreSeries, score_series, train
 from windowlab.windows import (
@@ -214,3 +215,28 @@ class TestBadConfig:
         assert [len(ds.train) + len(ds.test) for ds in cfg.datasets()] == [20, 20]
         # a whole seed past the largest float is a valid SeedSequence entropy
         assert ExperimentConfig(seed=2**1100).seed == 2**1100
+
+
+class TestBadGeneratorConfig:
+    @pytest.mark.parametrize("setting, least, value", [("seed", 0, 1.5), ("seed", 0, -2.0),
+                                                       ("n_train", 1, 2.5), ("n_test", 1, -4.0),
+                                                       ("n_train", 1, float("nan"))])
+    def test_a_seed_or_split_size_that_is_not_whole_is_named(self, setting, least, value):
+        # seed=1.5 used to fail at the first split read with a bare TypeError
+        pattern = re.escape(f"{setting} must be a whole number >= {least}, got {value}")
+        rejects(lambda: GeneratorConfig(**{"class2_mean": 0.5, "seed": 1, setting: value}), pattern)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_a_class_mean_that_is_not_finite_is_named(self, mean):
+        # nan used to fail at the first split read as "feature f1 is nan at time index 251"
+        pattern = f"class2_mean must be finite and at least CLASS1_MEAN (0.2), got {mean}"
+        rejects(lambda: GeneratorConfig(mean, seed=1), re.escape(pattern))
+
+    def test_whole_floats_are_used_as_integers(self):
+        # n_train=1000.0 used to fail at the first split read with a bare TypeError
+        cfg = GeneratorConfig(0.5, seed=7.0, n_train=1000.0, n_test=12.0)
+        got = cfg.seed, cfg.n_train, cfg.n_test
+        assert got == (7, 1000, 12) and all(type(v) is int for v in got)
+        drawn, whole = Dataset(cfg), Dataset(GeneratorConfig(0.5, seed=7, n_train=1000, n_test=12))
+        for a, b in ((drawn.train, whole.train), (drawn.test, whole.test)):
+            assert a.features.tobytes() == b.features.tobytes()

@@ -270,6 +270,23 @@ class TestLambdaFlag:
         assert code == 1
         assert "lambda" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("text", [",5", "5,", "1,,2"])
+    def test_an_empty_part_is_named(self, tmp_path, capsys, text):
+        # ",5" used to set the low scale to 5 and "1,,2" to read as "1,2"
+        out = tmp_path / "empty"
+        code = main(["run", "--out", str(out), "--lambda", text, *FAST])
+        assert code == 1
+        assert (f"--lambda takes one or two comma-separated values, got {text!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def test_flags_may_come_before_or_after_the_command():
+    parse = _build_parser().parse_args
+    after = parse(["run", "--seed", "3", "--datasets", "4"])
+    assert vars(parse(["--seed", "3", "run", "--datasets", "4"])) == vars(after)
+    assert (after.command, after.seed, after.datasets) == ("run", 3, 4)
+
 
 def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:

@@ -504,7 +504,19 @@ def window_ends(increments, budget, side):
 
 
 class SearchLog(np.ndarray):
-    """Prefix sums that log how many targets each ``searchsorted`` call takes."""
+    """Prefix sums that log how many targets each ``searchsorted`` call takes,
+    on themselves or on any array made from them (a view, or the plain result
+    of a function such as ``np.concatenate``), into one shared log."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_function__(self, func, types, args, kwargs):
+        result = super().__array_function__(func, types, args, kwargs)
+        if type(result) is np.ndarray:
+            result = result.view(SearchLog)
+            result.log = self.log
+        return result
 
     def searchsorted(self, v, side="left", sorter=None):
         self.log.append(np.size(v))
