@@ -72,11 +72,6 @@ def _parse_lambda(text: str, high: float) -> tuple[float, float]:
     return float(parts[0]), float(parts[1]) if len(parts) == 2 else high
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
-    """The method names; ``ExperimentConfig`` names any it does not know."""
-    return tuple(token.strip() for token in text.split(",") if token.strip())
-
-
 def _resolve(args: argparse.Namespace) -> dict:
     settings = {key: default for key, (default, _) in _SETTINGS.items()}
     if args.config:
@@ -89,43 +84,28 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
-    lam_low, lam_high = settings["lambda"]
-    return ExperimentConfig(
-        seed=settings["seed"],
-        n_datasets=settings["datasets"],
-        methods=_parse_methods(settings["methods"]),
-        svm_c=settings["svm_c"],
-        window_grid=settings["window_grid"],
-        threshold_grid=settings["threshold_grid"],
-        lambda_low=lam_low,
-        lambda_high=lam_high,
-        n_train=settings["n_train"],
-        n_test=settings["n_test"],
-    )
+    """The run's config.  A setting keyed by its argument's name passes through;
+    empty method tokens are dropped, and ``ExperimentConfig`` names an unknown one."""
+    lambda_low, lambda_high = settings["lambda"]
+    methods = tuple(token.strip() for token in settings["methods"].split(",") if token.strip())
+    named = ("seed", "svm_c", "window_grid", "threshold_grid", "n_train", "n_test")
+    return ExperimentConfig(n_datasets=settings["datasets"], methods=methods, lambda_low=lambda_low,
+                            lambda_high=lambda_high, **{key: settings[key] for key in named})
 
 
-def _cmd_generate(settings: dict) -> int:
-    cfg = _experiment_config(settings)
-    out = Path(settings["out"])
+def _cmd_generate(cfg: ExperimentConfig, out: Path, settings: dict) -> None:
     for index, dataset in enumerate(cfg.datasets()):  # each freed once written
         write_dataset_csv(dataset, out, settings["name"], index)
     print(f"wrote {2 * cfg.n_datasets} dataset files to {out}")
-    return 0
 
 
-def _cmd_run(settings: dict) -> int:
-    cfg = _experiment_config(settings)
-    out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_run(cfg: ExperimentConfig, out: Path, settings: dict) -> None:
     results = harness.run_experiment(cfg)
     path = results.write_csv(out / "error_rates.csv")
     print(f"wrote {path}")
-    return 0
 
 
-def _cmd_analyze(settings: dict) -> int:
-    cfg = _experiment_config(settings)
-    out = Path(settings["out"])
+def _cmd_analyze(cfg: ExperimentConfig, out: Path, settings: dict) -> None:
     results_path = out / "error_rates.csv"
     if not results_path.exists():
         raise FileNotFoundError(f"no results at {results_path}; run `run` first")
@@ -151,26 +131,19 @@ def _cmd_analyze(settings: dict) -> int:
     harness.write_stats_report(report, out / "stats_report.csv")
     harness.write_summary(report, cfg, out / "summary.txt")
     print(f"wrote {out / 'stats_report.csv'} and {out / 'summary.txt'}")
-    return 0
 
 
-def _cmd_sweep_gains(settings: dict) -> int:
-    out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_sweep_gains(cfg: ExperimentConfig, out: Path, settings: dict) -> None:
     path = write_gain_sweeps(out / "gain_sweeps.csv")
     print(f"wrote {path}")
-    return 0
 
 
-def _cmd_all(settings: dict) -> int:
-    cfg = _experiment_config(settings)
-    Path(settings["out"]).mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
+def _cmd_all(cfg: ExperimentConfig, out: Path, settings: dict) -> None:
     results = harness.run_experiment(cfg)
     report = harness.analyze(results)
-    paths = harness.emit_outputs(results, report, cfg, settings["out"])
+    paths = harness.emit_outputs(results, report, cfg, out)
     for path in paths.values():
         print(f"wrote {path}")
-    return 0
 
 
 _COMMANDS = {
@@ -197,14 +170,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Check every setting and make ``--out`` before the command creates or
+    writes anything; ``analyze`` reads ``--out``, so it gets no directory."""
+    args = _build_parser().parse_args(argv)
     try:
         settings = _resolve(args)
-        return _COMMANDS[args.command](settings)
+        cfg, out = _experiment_config(settings), Path(settings["out"])
+        if args.command != "analyze":  # a bad --out fails before the command starts
+            out.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.command](cfg, out, settings)
     except Exception as exc:
         print(f"windowlab {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

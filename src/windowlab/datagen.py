@@ -173,10 +173,8 @@ def generate_benchmark_suite(
     ``base.class2_mean`` is ignored; ``base.seed`` is replaced by a seed
     derived from ``seed`` and the dataset index.  No split is drawn here.
     """
-    if n_datasets < 2:
-        raise ValueError(f"a benchmark suite needs at least 2 datasets, got {n_datasets}")
-    if seed < 0:
-        raise ValueError(f"suite seed must be >= 0, got {seed}")
+    n_datasets = whole_number(n_datasets, "n_datasets", 2)
+    seed = whole_number(seed, "suite seed", 0)
     step = SWEEP_WIDTH / (n_datasets - 1)
     return [
         Dataset(GeneratorConfig(CLASS1_MEAN + k * step, suite_member_seed(seed, k),

@@ -2,8 +2,10 @@
 
 Two discrete-time transfer functions are evaluated here: the gain of a
 width-W sliding average, and the gain of a width-W filter that only reports
-every W steps (the fixed-window idealization of an accumulating cell, whose
-subsampling folds W aliased copies of the spectrum back onto the output).
+every W steps (the fixed-window idealization of an accumulating cell).  As
+specified, the second's W copies are shifted by whole turns 2*pi*g, and
+exp(-j*2*pi*b*g) = 1 for whole b and g, so it equals the sliding gain exactly:
+the sweep's two columns differ by rounding alone, at most 1.3e-14.
 Frequencies are in radians per sample step; sweeps cover [0, pi].
 """
 

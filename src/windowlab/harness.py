@@ -109,19 +109,22 @@ class ExperimentConfig(Record):
             raise ValueError(f"svm_c must be positive and finite, got {svm_c}")
         self.svm_c, self.lambda_low, self.lambda_high = svm_c, lambda_low, lambda_high
         for name, least, size in (("seed", 0, seed), ("n_datasets", 2, n_datasets),
-                                  ("n_train", 1, n_train), ("n_test", 1, n_test),
                                   ("window_grid", 1, window_grid),
                                   ("threshold_grid", 1, threshold_grid)):
             setattr(self, name, whole_number(size, name, least))
+        # the suite's one split-size rule is its generator config's
+        self._base = GeneratorConfig(CLASS1_MEAN, seed=0, n_train=n_train, n_test=n_test)
+
+    n_train = property(lambda self: self._base.n_train)
+    n_test = property(lambda self: self._base.n_test)
 
     def base_generator_config(self) -> GeneratorConfig:
-        return GeneratorConfig(class2_mean=CLASS1_MEAN, seed=0,
-                               n_train=self.n_train, n_test=self.n_test)
+        return self._base
 
     def datasets(self) -> Iterator[Dataset]:
         """The suite's datasets in order, each dropped from the suite when yielded:
         a caller that lets go of each in turn holds one dataset's splits at a time."""
-        suite = generate_benchmark_suite(self.n_datasets, self.base_generator_config(), self.seed)
+        suite = generate_benchmark_suite(self.n_datasets, self._base, self.seed)
         while suite:
             yield suite.pop(0)
 
@@ -331,6 +334,7 @@ class OrderingLink(NamedTuple):
 class AnalysisReport(NamedTuple):
     significance: float
     normality: tuple[tuple[Method, TestReport | None], ...]
+    normality_notes: tuple[str, ...]  # why each untested row has no report
     two_sided: tuple[PairComparison, ...]
     one_sided: tuple[PairComparison, ...]
     mean_errors: tuple[tuple[Method, float], ...]
@@ -368,12 +372,16 @@ def analyze(results: ResultsTable, significance: float = 0.05) -> AnalysisReport
     }
     errors = {m: results.errors(m) for m in methods}
 
-    normality = []
+    normality, notes = [], []
     for method in methods:
         try:
-            normality.append((method, shapiro_wilk(errors[method])))
-        except ValueError:
-            normality.append((method, None))
+            rep, note = shapiro_wilk(errors[method]), ""
+        except DegenerateSampleError:
+            rep, note = None, "degenerate: zero variance"
+        except ValueError:  # the sample's size; no comma, as the report's rows are not quoted
+            rep, note = None, f"Shapiro-Wilk needs 3 to 5000 values; got {errors[method].size}"
+        normality.append((method, rep))
+        notes.append(note)
 
     two_sided = []
     one_sided = []
@@ -403,6 +411,7 @@ def analyze(results: ResultsTable, significance: float = 0.05) -> AnalysisReport
     return AnalysisReport(
         significance=significance,
         normality=tuple(normality),
+        normality_notes=tuple(notes),
         two_sided=tuple(two_sided),
         one_sided=tuple(one_sided),
         mean_errors=mean_errors,
@@ -430,8 +439,7 @@ def _report_row(section, pool, a, b, report: TestReport | None, note: str) -> st
 def write_stats_report(report: AnalysisReport, path) -> Path:
     path = Path(path)
     lines = [_REPORT_HEADER]
-    for method, rep in report.normality:
-        note = "" if rep is not None else "degenerate: zero variance"
+    for (method, rep), note in zip(report.normality, report.normality_notes):
         lines.append(_report_row("normality", "all", method, "", rep, note))
     for comp in report.two_sided:
         lines.append(_report_row("two-sided", comp.pool, comp.a, comp.b, comp.report, comp.note))

@@ -257,7 +257,7 @@ def budget_walk(
                 if not moved.size:  # the table, so the path, is unchanged
                     yield lane
                     continue
-                ends = np.minimum(keys.searchsorted(target[moved], side), n)
+                ends = keys.searchsorted(target[moved], side)  # n keys, so at most n
                 table[moved], at_end[moved] = ends, stop.take(ends)
             else:
                 table = keys.searchsorted(target, side)

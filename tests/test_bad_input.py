@@ -10,8 +10,8 @@ rejects non-finite signals, no rows, safe and danger of different lengths
 and signals outside [0, 1].  A static window width that is not a whole number
 is rejected wherever it enters: a width grid, ``static_label`` and a tuned
 filter's ``apply``.  An experiment's or a dataset's seed and sizes that are
-not whole numbers, and a dataset's class mean that is not finite, are rejected
-when its config is built.
+not whole numbers, a split size that is not a multiple of 4, and a dataset's
+class mean that is not finite, are rejected when its config is built.
 """
 
 import re
@@ -215,6 +215,18 @@ class TestBadConfig:
         assert [len(ds.train) + len(ds.test) for ds in cfg.datasets()] == [20, 20]
         # a whole seed past the largest float is a valid SeedSequence entropy
         assert ExperimentConfig(seed=2**1100).seed == 2**1100
+
+    @pytest.mark.parametrize("setting", ["n_train", "n_test"])
+    def test_a_split_size_that_is_no_multiple_of_4_is_named(self, setting):
+        # 10 used to pass here and fail only once the suite was built
+        pattern = re.escape(f"{setting} must be a positive multiple of 4, got 10")
+        rejects(lambda: ExperimentConfig(**{"seed": 1, setting: 10}), pattern)
+
+    def test_the_split_sizes_are_its_kept_generator_config_s(self):
+        cfg = ExperimentConfig(seed=1, n_train=8.0, n_test=12)
+        base = cfg.base_generator_config()
+        assert base is cfg.base_generator_config()
+        assert (cfg.n_train, cfg.n_test) == (base.n_train, base.n_test) == (8, 12)
 
 
 class TestBadGeneratorConfig:

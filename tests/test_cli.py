@@ -173,6 +173,31 @@ class TestAll:
         assert not entered
 
 
+class TestFrontDoor:
+    @pytest.mark.parametrize("command", ["generate", "run", "analyze", "sweep-gains", "all"])
+    @pytest.mark.parametrize("flag, message", [
+        (["--n-train", "10"], "n_train must be a positive multiple of 4, got 10"),
+        (["--datasets", "1"], "n_datasets must be a whole number >= 2, got 1"),
+    ], ids=["n-train", "datasets"])
+    def test_a_bad_setting_is_named_before_out_is_made(self, tmp_path, capsys, command, flag,
+                                                        message):
+        # run and all used to make --out before the suite rejected --n-train 10,
+        # and sweep-gains checked no setting
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), *flag]) == 1
+        assert f"windowlab {command}: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_dataset_normality_rows_name_their_sample_size(self, tmp_path):
+        # each row used to say "degenerate: zero variance" though the errors vary
+        out = tmp_path / "two"
+        assert main(["all", "--out", str(out), *FAST]) == 0
+        rows = [line.split(",") for line in (out / "stats_report.csv").read_text().splitlines()]
+        assert {len(row) for row in rows} == {10}
+        notes = [row[9] for row in rows if row[0] == "normality"]
+        assert notes == ["Shapiro-Wilk needs 3 to 5000 values; got 2"] * 6
+
+
 class TestSweepGains:
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "gains"

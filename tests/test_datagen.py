@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -114,8 +115,20 @@ class TestBenchmarkSuite:
             generate_benchmark_suite(1, small_config(), seed=3)
 
     def test_rejects_negative_seed_by_name(self):
-        with pytest.raises(ValueError, match="suite seed must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="suite seed must be a whole number >= 0, got -1"):
             generate_benchmark_suite(2, small_config(), -1)
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("seed", 1.5, "suite seed must be a whole number >= 0, got 1.5"),
+        ("seed", float("nan"), "suite seed must be a whole number >= 0, got nan"),
+        ("n_datasets", 2.5, "n_datasets must be a whole number >= 2, got 2.5"),
+    ], ids=["seed-1.5", "seed-nan", "datasets-2.5"])
+    def test_rejects_a_count_or_seed_that_is_not_whole_by_name(self, setting, value, message):
+        # 1.5 used to return seed 1's suite, 2.5 datasets failed with a bare
+        # TypeError and a nan seed as "cannot convert float NaN to integer"
+        args = {"n_datasets": 3, "base": small_config(), "seed": 1, setting: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_benchmark_suite(**args)
 
     def test_member_seeds_are_deterministic_and_distinct(self):
         seeds = [suite_member_seed(99, k) for k in range(10)]

@@ -133,6 +133,15 @@ class TestGainSweep:
             assert sliding == sliding_window_gain(width, omega).magnitude
             assert cell == dc_gain(width, omega).magnitude
 
+    def test_present_every_w_gain_equals_the_sliding_gain(self, tmp_path):
+        # Its copies are shifted by whole turns 2*pi*g and exp(-j*2*pi*b*g) = 1
+        # for whole b and g, so over the default sweep the two differ by rounding.
+        rows = sweep_rows(tmp_path / "gains.csv", (2, 4, 8, 16), 256)
+        assert len(rows) == 4 * 256
+        for width, omega, sliding, cell in rows:
+            assert abs(dc_gain(width, omega).gain - sliding_window_gain(width, omega).gain) <= 1e-13
+            assert abs(cell - sliding) <= 1e-13
+
     def test_rejects_short_sweep(self, tmp_path):
         with pytest.raises(ValueError):
             write_gain_sweeps(tmp_path / "gains.csv", widths=(3,), n_points=1)

@@ -295,6 +295,18 @@ class TestAnalyze:
         assert comp.report is None
         assert "degenerate" in comp.note
 
+    @pytest.mark.parametrize("n, notes", [
+        (6, ("degenerate: zero variance", "")),
+        (2, ("Shapiro-Wilk needs 3 to 5000 values; got 2",) * 2),
+    ])
+    def test_an_untested_normality_row_says_why(self, n, notes):
+        # LNC's errors are constant, SMOV's vary; 2 values are too few to test
+        rows = [ResultRow(idx, 0.1 * idx, method, 0.1 * idx if method is Method.SMOV else 0.25,
+                          None) for idx in range(n) for method in (Method.LNC, Method.SMOV)]
+        report = analyze(ResultsTable(tuple(rows)))
+        assert report.normality_notes == notes
+        assert [rep is None for _, rep in report.normality] == [bool(note) for note in notes]
+
     def test_missing_cell_is_named(self, small_table, tmp_path):
         table, _ = small_table
         path = table.write_csv(tmp_path / "error_rates.csv")
