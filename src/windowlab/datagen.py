@@ -159,7 +159,8 @@ def _sample_split(rng: np.random.Generator, n: int, config: GeneratorConfig) -> 
 
 def suite_member_seed(suite_seed: int, index: int) -> int:
     """Derive the dataset seed for one suite member from the suite seed."""
-    ss = np.random.SeedSequence([int(suite_seed), int(index)])
+    ss = np.random.SeedSequence([whole_number(suite_seed, "suite seed", 0),
+                                 whole_number(index, "dataset index", 0)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -174,7 +175,6 @@ def generate_benchmark_suite(
     derived from ``seed`` and the dataset index.  No split is drawn here.
     """
     n_datasets = whole_number(n_datasets, "n_datasets", 2)
-    seed = whole_number(seed, "suite seed", 0)
     step = SWEEP_WIDTH / (n_datasets - 1)
     return [
         Dataset(GeneratorConfig(CLASS1_MEAN + k * step, suite_member_seed(seed, k),

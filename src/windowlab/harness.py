@@ -45,15 +45,7 @@ from .datagen import (
     centroid_distance,
     generate_benchmark_suite,
 )
-from .stats import (
-    DegenerateSampleError,
-    PairedSample,
-    TestReport,
-    choose_test,
-    paired_t_test,
-    shapiro_wilk,
-    wilcoxon_signed_rank,
-)
+from .stats import TestReport, normality_report, paired_report
 
 #: Centroid distance beyond which the suite is treated as fully separable.
 NONSEPARABLE_MAX_DISTANCE = 0.6
@@ -345,23 +337,6 @@ class AnalysisReport(NamedTuple):
         return bool(self.links) and all(link.significant for link in self.links)
 
 
-def _paired_report(a_err, b_err, alternative: str) -> tuple[TestReport | None, str]:
-    diffs = np.asarray(a_err) - np.asarray(b_err)
-    if not np.any(diffs != 0):
-        return None, "degenerate: all paired differences are zero"
-    try:
-        parametric = choose_test(a_err, b_err)
-    except ValueError:
-        parametric = False
-    sample = PairedSample(np.asarray(a_err), np.asarray(b_err))
-    if parametric:
-        try:
-            return paired_t_test(sample, alternative), ""
-        except DegenerateSampleError as exc:
-            return None, f"degenerate: {exc}"
-    return wilcoxon_signed_rank(sample, alternative), ""
-
-
 def analyze(results: ResultsTable, significance: float = 0.05) -> AnalysisReport:
     """Run the normality screen plus the two-sided and one-sided batteries."""
     methods = results.methods()
@@ -372,17 +347,7 @@ def analyze(results: ResultsTable, significance: float = 0.05) -> AnalysisReport
     }
     errors = {m: results.errors(m) for m in methods}
 
-    normality, notes = [], []
-    for method in methods:
-        try:
-            rep, note = shapiro_wilk(errors[method]), ""
-        except DegenerateSampleError:
-            rep, note = None, "degenerate: zero variance"
-        except ValueError:  # the sample's size; no comma, as the report's rows are not quoted
-            rep, note = None, f"Shapiro-Wilk needs 3 to 5000 values; got {errors[method].size}"
-        normality.append((method, rep))
-        notes.append(note)
-
+    screened = [normality_report(errors[m]) for m in methods]
     two_sided = []
     one_sided = []
     candidates = [m for m in ORDERING_CANDIDATES if m in methods]
@@ -391,13 +356,13 @@ def analyze(results: ResultsTable, significance: float = 0.05) -> AnalysisReport
         if mask.sum() < 2:
             continue
         for a, b in combinations(methods, 2):
-            report, note = _paired_report(errors[a][mask], errors[b][mask], "two-sided")
+            report, note = paired_report(errors[a][mask], errors[b][mask], "two-sided")
             two_sided.append(PairComparison(pool, a, b, report, note))
         for a, b in combinations(candidates, 2):
             mean_a = float(errors[a][mask].mean())
             mean_b = float(errors[b][mask].mean())
             better, worse = (a, b) if mean_a <= mean_b else (b, a)
-            report, note = _paired_report(errors[better][mask], errors[worse][mask], "a-less")
+            report, note = paired_report(errors[better][mask], errors[worse][mask], "a-less")
             one_sided.append(PairComparison(pool, better, worse, report, note))
 
     mean_errors = tuple((m, float(errors[m].mean())) for m in methods)
@@ -410,8 +375,8 @@ def analyze(results: ResultsTable, significance: float = 0.05) -> AnalysisReport
         links.append(OrderingLink(better, worse, p, p is not None and p < significance))
     return AnalysisReport(
         significance=significance,
-        normality=tuple(normality),
-        normality_notes=tuple(notes),
+        normality=tuple((m, rep) for m, (rep, _) in zip(methods, screened)),
+        normality_notes=tuple(note for _, note in screened),
         two_sided=tuple(two_sided),
         one_sided=tuple(one_sided),
         mean_errors=mean_errors,

@@ -4,8 +4,9 @@ Implements the Shapiro-Wilk W test (Royston's polynomial approximation to the
 null distribution, valid for 3 <= n <= 5000), the Wilcoxon signed-rank test
 (exact tail probabilities by enumerating the 2^n sign assignments for small
 samples, a tie- and continuity-corrected normal approximation otherwise), and
-a paired Student t test for the parametric branch.  ``choose_test`` applies
-the screening protocol: the t branch is selected only when both samples and
+a paired Student t test for the parametric branch.  ``normality_report`` and
+``paired_report`` are the battery's whole test rule: each gives a report or a
+note saying why there is none, and the t test runs only when both samples and
 their differences all look normal at the 0.05 level.
 
 Error rates are quantized, so ties and zero differences are the norm: zero
@@ -21,6 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import Record
+from .datagen import require_finite
 
 _NORMAL = NormalDist()
 
@@ -43,6 +45,8 @@ class PairedSample:
             raise ValueError("paired samples must be 1-d and of equal length")
         if self.a.size < 2:
             raise ValueError("paired samples need at least 2 pairs")
+        require_finite(self.a, "paired sample a")
+        require_finite(self.b, "paired sample b")
 
     @property
     def differences(self) -> np.ndarray:
@@ -109,7 +113,9 @@ def _shapiro_coefficients(n: int) -> np.ndarray:
 
 def shapiro_wilk(x) -> TestReport:
     """W statistic and approximate p-value; small p flags non-normality."""
-    x = np.sort(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    require_finite(x, "Shapiro-Wilk sample")
+    x = np.sort(x)
     n = x.size
     if n < 3 or n > 5000:
         raise ValueError(f"sample size must be within [3, 5000], got {n}")
@@ -304,19 +310,31 @@ def paired_t_test(sample: PairedSample, alternative: str = "two-sided") -> TestR
 # ---------------------------------------------------------------------------
 
 
-def choose_test(a, b) -> bool:
-    """Screen both samples and their differences for normality.
+def normality_report(values) -> tuple[TestReport | None, str]:
+    """The Shapiro-Wilk report, or None and why the sample cannot be screened:
+    its size or its zero range.  A non-finite value raises."""
+    require_finite(np.asarray(values, dtype=float), "Shapiro-Wilk sample")
+    if not 3 <= np.size(values) <= 5000:  # no comma, as the report's rows are not quoted
+        return None, f"Shapiro-Wilk needs 3 to 5000 values; got {np.size(values)}"
+    try:
+        return shapiro_wilk(values), ""
+    except DegenerateSampleError:
+        return None, "degenerate: zero variance"
 
-    True selects the parametric (paired t) branch: all three Shapiro-Wilk
-    tests pass at the 0.05 level.  A zero-variance input cannot be normal,
-    so it fails the screen instead of raising.
+
+def paired_report(a, b, alternative: str) -> tuple[TestReport | None, str]:
+    """The paired test of ``a`` against ``b``, or None and why there is none.
+
+    No test runs when every difference is zero.  The paired t test runs when
+    a, b and a - b all pass ``normality_report`` at the 0.05 level, screened in
+    that order up to the first failure; a sample it cannot screen fails.
+    Otherwise the Wilcoxon signed-rank test runs.
     """
-    sample = PairedSample(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-    def passes(values) -> bool:
-        try:
-            return shapiro_wilk(values).p_value >= 0.05
-        except DegenerateSampleError:
-            return False
-
-    return all(passes(v) for v in (sample.a, sample.b, sample.differences))
+    sample = PairedSample(a, b)
+    if not np.any(sample.differences):
+        return None, "degenerate: all paired differences are zero"
+    for values in (sample.a, sample.b, sample.differences):
+        report = normality_report(values)[0]
+        if report is None or report.p_value < 0.05:
+            return wilcoxon_signed_rank(sample, alternative), ""
+    return paired_t_test(sample, alternative), ""  # a - b varies, as it passed the screen

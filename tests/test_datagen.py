@@ -130,6 +130,18 @@ class TestBenchmarkSuite:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_benchmark_suite(**args)
 
+    @pytest.mark.parametrize("seed, index, message", [
+        (1.5, 0, "suite seed must be a whole number >= 0, got 1.5"),
+        (-1, 0, "suite seed must be a whole number >= 0, got -1"),
+        (float("nan"), 0, "suite seed must be a whole number >= 0, got nan"),
+        (1, 0.7, "dataset index must be a whole number >= 0, got 0.7"),
+        (1, -1, "dataset index must be a whole number >= 0, got -1"),
+    ], ids=["seed-1.5", "seed-negative", "seed-nan", "index-0.7", "index-negative"])
+    def test_member_seed_rejects_what_is_not_whole_by_name(self, seed, index, message):
+        # 1.5 and 0.7 used to be truncated to seed 1's and index 0's member seed
+        with pytest.raises(ValueError, match=re.escape(message)):
+            suite_member_seed(seed, index)
+
     def test_member_seeds_are_deterministic_and_distinct(self):
         seeds = [suite_member_seed(99, k) for k in range(10)]
         assert seeds == [suite_member_seed(99, k) for k in range(10)]

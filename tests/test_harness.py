@@ -21,6 +21,7 @@ from windowlab.harness import (
     write_stats_report,
     write_summary,
 )
+from windowlab.stats import PairedSample, paired_t_test
 
 SMALL = dict(n_train=200, n_test=200, window_grid=20, threshold_grid=20)
 
@@ -306,6 +307,36 @@ class TestAnalyze:
         report = analyze(ResultsTable(tuple(rows)))
         assert report.normality_notes == notes
         assert [rep is None for _, rep in report.normality] == [bool(note) for note in notes]
+
+    def test_gaussian_columns_reach_the_t_test(self, tmp_path):
+        # error rates that look normal, 24 datasets of which the first 16 are
+        # non-separable; every paired-t row is the t test on its pool's vectors
+        rng = np.random.default_rng(3)
+        methods = (Method.LNC, Method.SMOV, Method.DMOV2, Method.DCA1)
+        columns = {m: rng.normal(0.3 - 0.02 * k, 0.05, 24) for k, m in enumerate(methods)}
+        distances = np.where(np.arange(24) < 16, 0.5, 0.7)
+        table = ResultsTable(tuple(ResultRow(idx, distances[idx], m, columns[m][idx], None)
+                                   for idx in range(24) for m in methods))
+        path = write_stats_report(analyze(table), tmp_path / "stats_report.csv")
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        t_rows = [row for row in rows if row[4] == "paired-t"]
+        assert {row[1] for row in t_rows} == {"all", "nonseparable"}
+        for _, pool, a, b, _, statistic, p_value, alternative, n, note in t_rows:
+            mask = slice(None) if pool == "all" else slice(16)
+            sample = PairedSample(columns[Method(a)][mask], columns[Method(b)][mask])
+            expected = paired_t_test(sample, alternative)
+            assert [statistic, p_value, n, note] == [
+                repr(expected.statistic), repr(expected.p_value), str(expected.n_effective), ""]
+
+    def test_a_non_finite_error_rate_is_named(self):
+        # used to note "Shapiro-Wilk needs 3 to 5000 values; got 10" and rank
+        # the nan as a Wilcoxon difference (p = 0.557)
+        rows = [ResultRow(idx, 0.1 * idx, method,
+                          np.nan if (idx, method) == (4, Method.SMOV) else 0.01 * idx * (1 + k),
+                          None)
+                for idx in range(10) for k, method in enumerate((Method.LNC, Method.SMOV))]
+        with pytest.raises(ValueError, match="Shapiro-Wilk sample is nan at time index 5"):
+            analyze(ResultsTable(tuple(rows)))
 
     def test_missing_cell_is_named(self, small_table, tmp_path):
         table, _ = small_table

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from windowlab.stats import (
     PairedSample,
     TestReport,
     _betainc,
-    choose_test,
+    normality_report,
+    paired_report,
     paired_t_test,
     shapiro_wilk,
     wilcoxon_signed_rank,
@@ -162,18 +165,20 @@ class TestPairedT:
         assert p_less + p_greater == pytest.approx(1.0)
 
 
-class TestChooseTest:
+class TestPairedReport:
+    """``paired_report``'s choice of test, read from ``report.test``."""
+
     def test_quantized_zero_heavy_vectors_choose_wilcoxon(self):
         rng = np.random.default_rng(5)
         a = np.round(np.clip(rng.normal(0.02, 0.05, 100), 0, 1) * 1000) / 1000
         b = np.round(np.clip(rng.normal(0.08, 0.09, 100), 0, 1) * 1000) / 1000
-        assert not choose_test(a, b)
+        assert paired_report(a, b, "two-sided")[0].test == "wilcoxon-signed-rank"
 
     def test_clean_gaussians_choose_t(self):
         rng = np.random.default_rng(6)
         a = rng.normal(0.0, 1.0, 60)
         b = a + rng.normal(0.2, 1.0, 60)
-        assert choose_test(a, b)
+        assert paired_report(a, b, "two-sided")[0].test == "paired-t"
         assert shapiro_wilk(a).p_value >= 0.05
         assert shapiro_wilk(a - b).p_value >= 0.05
 
@@ -181,14 +186,49 @@ class TestChooseTest:
         rng = np.random.default_rng(7)
         a = rng.normal(0, 1, 80)
         b = np.concatenate([rng.normal(-2, 0.05, 40), rng.normal(2, 0.05, 40)])
-        assert not choose_test(a, b)
+        assert paired_report(a, b, "two-sided")[0].test == "wilcoxon-signed-rank"
+
+    def test_bimodal_differences_block_t(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(0, 1, 80)
+        b = a - np.concatenate([rng.normal(-0.5, 0.05, 40), rng.normal(0.5, 0.05, 40)])
+        assert min(shapiro_wilk(a).p_value, shapiro_wilk(b).p_value) >= 0.05
+        assert paired_report(a, b, "two-sided")[0].test == "wilcoxon-signed-rank"
 
     def test_constant_sample_fails_screen_without_raising(self):
         a = np.full(20, 0.5)
         b = np.linspace(0, 1, 20)
         with pytest.raises(DegenerateSampleError):
             shapiro_wilk(a)
-        assert not choose_test(a, b)
+        assert paired_report(a, b, "two-sided")[0].test == "wilcoxon-signed-rank"
+
+
+class TestNormalityReport:
+    def test_only_a_size_outside_3_to_5000_becomes_the_size_note(self):
+        note = "Shapiro-Wilk needs 3 to 5000 values; got 5001"
+        assert normality_report(np.arange(5001.0)) == (None, note)
+        for values in ([1.0, 2.0, np.inf, 4.0], [1.0, 2.0, np.inf] * 2000):
+            with pytest.raises(ValueError, match="Shapiro-Wilk sample is inf at time index 3"):
+                normality_report(np.array(values))
+
+
+class TestNonFiniteSample:
+    """A NaN or infinite value fails by the sample's name and 1-based position,
+    before any test ranks it as a difference or reports a p-value."""
+
+    @pytest.mark.parametrize("a, b, where", [
+        ([np.nan, 1.0, 2.0], [0.0, 0.0, 0.0], "paired sample a is nan at time index 1"),
+        ([0.0, 1.0, 2.0], [0.0, 0.0, -np.inf], "paired sample b is -inf at time index 3"),
+    ], ids=["nan-in-a", "inf-in-b"])
+    def test_paired_sample_names_the_value(self, a, b, where):
+        # the Wilcoxon test used to return p = 1.0 and the t test a nan statistic
+        with pytest.raises(ValueError, match=re.escape(where + "; must be finite")):
+            PairedSample(np.array(a), np.array(b))
+
+    def test_shapiro_wilk_names_the_value(self):
+        # used to fail as "p-value nan outside [0, 1]" after RuntimeWarnings
+        with pytest.raises(ValueError, match="Shapiro-Wilk sample is nan at time index 1"):
+            shapiro_wilk(np.array([np.nan, 1.0, 2.0, 3.0]))
 
 
 class TestReportShape:
