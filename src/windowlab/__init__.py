@@ -2,6 +2,8 @@
 on noisy, time-ordered two-class data, with the statistical machinery to
 compare the approaches across a separability sweep."""
 
+from pathlib import Path
+
 __version__ = "0.1.0"
 
 
@@ -21,3 +23,12 @@ def whole_number(value, name: str, least: int) -> int:
     if not ((isinstance(value, int) or float(value).is_integer()) and value >= least):
         raise ValueError(f"{name} must be a whole number >= {least}, got {value}")
     return int(value)
+
+
+def write_lines(path, lines) -> Path:
+    """Write each of ``lines`` to ``path`` as it comes, ended by "\\n": every
+    file windowlab writes is UTF-8 with "\\n" line endings on every platform."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    return path

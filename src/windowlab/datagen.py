@@ -23,13 +23,13 @@ normalizes them.
 
 from __future__ import annotations
 
-import csv
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import Record, whole_number
+from . import Record, whole_number, write_lines
 
 NORMAL_LABEL = -1
 ANOMALOUS_LABEL = 1
@@ -197,13 +197,10 @@ def centroid_distance(train: InstanceSeries, test: InstanceSeries) -> float:
 
 
 def write_series_csv(series: InstanceSeries, path: Path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time_index", *(f"f{j + 1}" for j in range(series.n_features)), "label"])
-        for i, (row, lab) in enumerate(zip(series.features, series.labels)):
-            writer.writerow([i + 1] + [repr(float(v)) for v in row] + [int(lab)])
-    return path
+    header = ",".join(["time_index", *(f"f{j + 1}" for j in range(series.n_features)), "label"])
+    rows = (",".join([str(i), *map(repr, row), str(lab)]) for i, (row, lab)
+            in enumerate(zip(series.features.tolist(), series.labels.tolist()), 1))
+    return write_lines(path, chain([header], rows))
 
 
 def write_dataset_csv(
@@ -212,6 +209,5 @@ def write_dataset_csv(
     """Write ``<suite>_<index>_train.csv`` and ``<suite>_<index>_test.csv``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_path = write_series_csv(dataset.train, out_dir / f"{suite}_{index}_train.csv")
-    test_path = write_series_csv(dataset.test, out_dir / f"{suite}_{index}_test.csv")
-    return train_path, test_path
+    return (write_series_csv(dataset.train, out_dir / f"{suite}_{index}_train.csv"),
+            write_series_csv(dataset.test, out_dir / f"{suite}_{index}_test.csv"))

@@ -11,10 +11,13 @@ Frequencies are in radians per sample step; sweeps cover [0, pi].
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from . import write_lines
 
 
 class FrequencyResponse(NamedTuple):
@@ -80,11 +83,6 @@ def write_gain_sweeps(
     if n_points < 2:
         raise ValueError(f"a sweep needs at least 2 points, got {n_points}")
     omegas = np.arange(n_points) * np.pi / (n_points - 1)
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("W,omega,G_S_mag,G_D_mag\n")
-        for width in widths:
-            sliding, dc = _gains(width, omegas)
-            rows = zip(omegas.tolist(), sliding.tolist(), dc.tolist())
-            fh.writelines(f"{width},{w!r},{abs(s)!r},{abs(d)!r}\n" for w, s, d in rows)
-    return path
+    rows = (f"{width},{w!r},{abs(s)!r},{abs(d)!r}" for width in widths
+            for w, s, d in zip(omegas.tolist(), *map(np.ndarray.tolist, _gains(width, omegas))))
+    return write_lines(path, chain(["W,omega,G_S_mag,G_D_mag"], rows))

@@ -29,13 +29,13 @@ from collections import Counter
 from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import Record, dca, freq, whole_number, windows
+from . import Record, dca, freq, whole_number, windows, write_lines
 from . import svm as svm_mod
 from .datagen import (
     CLASS1_MEAN,
@@ -250,23 +250,17 @@ class ResultsTable(Record):
         return np.array([by_index[i] for i in self.dataset_indexes()])
 
     def write_csv(self, path) -> Path:
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for r in self.rows:
-                tuned = "" if r.tuned_parameter is None else repr(float(r.tuned_parameter))
-                fh.write(
-                    f"{r.dataset_index},{r.centroid_distance!r},{r.method},"
-                    f"{r.error_rate!r},{tuned}\n"
-                )
-        return path
+        rows = (f"{r.dataset_index},{r.centroid_distance!r},{r.method},{r.error_rate!r},"
+                + ("" if r.tuned_parameter is None else repr(float(r.tuned_parameter)))
+                for r in self.rows)
+        return write_lines(path, chain([_CSV_HEADER], rows))
 
     @classmethod
     def read_csv(cls, path) -> "ResultsTable":
         """Read a written table back, naming ``path:line`` of the first bad row."""
         rows = []
         distances = {}
-        with Path(path).open(newline="", encoding="utf-8") as fh:
+        with Path(path).open(encoding="utf-8") as fh:  # "\r\n" reads as "\n"
             header = fh.readline().strip()
             if header != _CSV_HEADER:
                 raise ValueError(f"unexpected header in {path}: {header!r}")
@@ -402,7 +396,6 @@ def _report_row(section, pool, a, b, report: TestReport | None, note: str) -> st
 
 
 def write_stats_report(report: AnalysisReport, path) -> Path:
-    path = Path(path)
     lines = [_REPORT_HEADER]
     for (method, rep), note in zip(report.normality, report.normality_notes):
         lines.append(_report_row("normality", "all", method, "", rep, note))
@@ -410,12 +403,10 @@ def write_stats_report(report: AnalysisReport, path) -> Path:
         lines.append(_report_row("two-sided", comp.pool, comp.a, comp.b, comp.report, comp.note))
     for comp in report.one_sided:
         lines.append(_report_row("one-sided", comp.pool, comp.a, comp.b, comp.report, comp.note))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 def write_summary(report: AnalysisReport, config: ExperimentConfig, path) -> Path:
-    path = Path(path)
     lines = [
         "benchmark summary",
         "=================",
@@ -440,8 +431,7 @@ def write_summary(report: AnalysisReport, config: ExperimentConfig, path) -> Pat
         )
     else:
         lines.append(f"ordering NOT fully established at {report.significance}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 def emit_outputs(

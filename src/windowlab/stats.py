@@ -7,7 +7,9 @@ samples, a tie- and continuity-corrected normal approximation otherwise), and
 a paired Student t test for the parametric branch.  ``normality_report`` and
 ``paired_report`` are the battery's whole test rule: each gives a report or a
 note saying why there is none, and the t test runs only when both samples and
-their differences all look normal at the 0.05 level.
+their differences all look normal at the 0.05 level.  Both paired tests take
+p from their two tails: a one-sided p is its own tail, never one minus the
+other, and a two-sided p is twice the smaller tail, at most 1.
 
 Error rates are quantized, so ties and zero differences are the norm: zero
 differences are discarded (the effective sample size is always reported) and
@@ -166,6 +168,17 @@ def _norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def _check_alternative(alternative: str) -> None:
+    if alternative not in ALTERNATIVES:
+        raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
+
+
+def _tailed(alternative: str, p_less: float, p_greater: float) -> float:
+    """The p-value of ``alternative`` from the two one-sided tail probabilities."""
+    two_sided = min(1.0, 2.0 * min(p_less, p_greater))
+    return {"a-less": p_less, "a-greater": p_greater}.get(alternative, two_sided)
+
+
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the mean of their ranks (exact half-integers)."""
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
@@ -195,8 +208,7 @@ def wilcoxon_signed_rank(sample: PairedSample, alternative: str = "two-sided") -
     differences and use the tie- and continuity-corrected normal
     approximation beyond that.
     """
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
+    _check_alternative(alternative)
     diffs = sample.differences
     diffs = diffs[diffs != 0.0]
     n = diffs.size
@@ -218,13 +230,8 @@ def wilcoxon_signed_rank(sample: PairedSample, alternative: str = "two-sided") -
         sigma = math.sqrt(var)
         p_less = _norm_sf(-(v - mu + 0.5) / sigma)
         p_greater = _norm_sf((v - mu - 0.5) / sigma)
-    if alternative == "a-greater":
-        p = p_greater
-    elif alternative == "a-less":
-        p = p_less
-    else:
-        p = min(1.0, 2.0 * min(p_less, p_greater))
-    return TestReport("wilcoxon-signed-rank", v, float(p), alternative, n)
+    return TestReport("wilcoxon-signed-rank", v, _tailed(alternative, p_less, p_greater),
+                      alternative, n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,31 +285,18 @@ def _betainc(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _t_sf(t: float, dof: float) -> float:
-    """P(T >= t) for Student's t with ``dof`` degrees of freedom."""
-    if t < 0:
-        return 1.0 - _t_sf(-t, dof)
-    return 0.5 * _betainc(dof / 2.0, 0.5, dof / (dof + t * t))
-
-
 def paired_t_test(sample: PairedSample, alternative: str = "two-sided") -> TestReport:
     """Student's t test on the mean of the paired differences."""
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
+    _check_alternative(alternative)
     diffs = sample.differences
     n = diffs.size
     sd = float(diffs.std(ddof=1))
     if sd == 0.0:
         raise DegenerateSampleError("paired differences have zero variance")
-    t = float(diffs.mean()) / (sd / math.sqrt(n))
-    dof = n - 1
-    if alternative == "a-greater":
-        p = _t_sf(t, dof)
-    elif alternative == "a-less":
-        p = 1.0 - _t_sf(t, dof)
-    else:
-        p = min(1.0, 2.0 * _t_sf(abs(t), dof))
-    return TestReport("paired-t", t, float(p), alternative, n)
+    t, dof = float(diffs.mean()) / (sd / math.sqrt(n)), n - 1
+    beyond = 0.5 * _betainc(dof / 2.0, 0.5, dof / (dof + t * t))  # P(T >= |t|)
+    tails = (beyond, 1.0 - beyond) if t < 0 else (1.0 - beyond, beyond)
+    return TestReport("paired-t", t, _tailed(alternative, *tails), alternative, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -54,6 +55,13 @@ class TestGenerate:
         ]
         assert "wrote 6 dataset files" in capsys.readouterr().out
 
+    def test_dataset_file_bytes(self, tmp_path):
+        # the draws are element-wise NumPy, so no BLAS kernel changes these bytes
+        assert main(["generate", "--seed", "20260808", "--datasets", "2", "--n-train", "8",
+                     "--n-test", "8", "--name", "demo", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "demo_0_train.csv").read_bytes()).hexdigest()
+        assert digest == "d047bdadf757bb166fd9d768473c4187a1c4afdcad3f055a63c3d422c17de69b"
+
     def test_each_dataset_is_freed_once_written(self, tmp_path, monkeypatch):
         alive = live_datasets_per_call(monkeypatch, "write_dataset_csv")
         assert main(["generate", "--out", str(tmp_path), *FAST, "--datasets", "3"]) == 0
@@ -68,6 +76,17 @@ class TestRunAndAnalyze:
         assert main(["analyze", "--seed", "9", "--out", str(out), *FAST]) == 0
         assert (out / "stats_report.csv").exists()
         assert (out / "summary.txt").exists()
+
+    def test_analyze_reads_a_crlf_table_as_the_lf_one(self, tmp_path):
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        assert main(["run", "--seed", "9", "--out", str(lf), *FAST]) == 0
+        crlf.mkdir()
+        table = (lf / "error_rates.csv").read_bytes()
+        (crlf / "error_rates.csv").write_bytes(table.replace(b"\n", b"\r\n"))
+        for out in (lf, crlf):
+            assert main(["analyze", "--seed", "9", "--out", str(out), *FAST]) == 0
+        for name in ("stats_report.csv", "summary.txt"):
+            assert (crlf / name).read_bytes() == (lf / name).read_bytes()
 
     def test_analyze_frees_each_dataset_once_its_distance_is_read(self, tmp_path, monkeypatch):
         flags = ["--seed", "9", "--out", str(tmp_path), *FAST, "--datasets", "3"]
@@ -151,6 +170,17 @@ class TestAll:
         assert main(["all", "--seed", "12", "--out", str(out_b), *FAST]) == 0
         for name in ("error_rates.csv", "stats_report.csv", "gain_sweeps.csv", "summary.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_every_file_is_utf8_with_one_newline_ending_each_line(self, tmp_path):
+        # all four outputs and generate's dataset files: every writer's text format
+        assert main(["all", "--seed", "11", "--out", str(tmp_path), *FAST]) == 0
+        assert main(["generate", "--seed", "11", "--out", str(tmp_path), *FAST]) == 0
+        assert len(list(tmp_path.iterdir())) == 4 + 2 * 2
+        for path in tmp_path.iterdir():
+            text = path.read_bytes().decode("utf-8")
+            assert "\r" not in text, path.name
+            lines = text.split("\n")
+            assert lines[-1] == "" and all(lines[:-1]), path.name
 
     def test_different_seed_changes_results(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

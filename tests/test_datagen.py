@@ -279,3 +279,13 @@ class TestCsv:
         assert np.array_equal(back[:, 0], np.arange(1, len(ds.train) + 1))
         assert np.array_equal(back[:, 1:3], ds.train.features)
         assert np.array_equal(back[:, 3], ds.train.labels)
+
+    def test_a_written_split_parses_back_exactly(self, tmp_path):
+        ds = Dataset(small_config(n_train=8, n_test=12))
+        for split, path in zip((ds.train, ds.test), write_dataset_csv(ds, tmp_path, "demo", 0)):
+            header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+            assert header == "time_index,f1,f2,label"
+            cells = [line.split(",") for line in lines]
+            assert [int(row[0]) for row in cells] == list(range(1, len(split) + 1))
+            assert [[float(v) for v in row[1:3]] for row in cells] == split.features.tolist()
+            assert [int(row[3]) for row in cells] == split.labels.tolist()

@@ -254,6 +254,12 @@ class TestResultsTableCsv:
         path = table.write_csv(tmp_path / "error_rates.csv")
         assert ResultsTable.read_csv(path) == table
 
+    def test_a_crlf_copy_reads_as_the_table(self, small_table, tmp_path):
+        table, _ = small_table
+        lf = table.write_csv(tmp_path / "error_rates.csv").read_bytes()
+        (crlf := tmp_path / "crlf.csv").write_bytes(lf.replace(b"\n", b"\r\n"))
+        assert ResultsTable.read_csv(crlf) == table
+
     def test_header(self, small_table, tmp_path):
         table, _ = small_table
         path = table.write_csv(tmp_path / "error_rates.csv")

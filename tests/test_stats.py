@@ -164,6 +164,15 @@ class TestPairedT:
         p_greater = paired_t_test(sample, "a-greater").p_value
         assert p_less + p_greater == pytest.approx(1.0)
 
+    def test_a_less_on_a_strongly_negative_t_does_not_underflow(self):
+        # a-less used to be 1 - (1 - p) and read 0.0 where the mirrored
+        # a-greater keeps p itself
+        diffs = -1.0 - 0.18 * np.cos(np.arange(30))
+        less = paired_t_test(paired(diffs, np.zeros(30)), "a-less")
+        greater = paired_t_test(paired(np.zeros(30), diffs), "a-greater")
+        assert less.statistic < -30
+        assert less.p_value == greater.p_value > 0.0
+
 
 class TestPairedReport:
     """``paired_report``'s choice of test, read from ``report.test``."""
@@ -311,7 +320,7 @@ PAIRED_T_CASES = [
         -3.4877393244139068,
         {
             "two-sided": 0.005078741770066676,
-            "a-less": 0.0025393708850333097,
+            "a-less": 0.002539370885033338,
             "a-greater": 0.9974606291149667,
         },
     ),
