@@ -74,8 +74,7 @@ class GeneratorConfig(Record):
 def require_finite(values: np.ndarray, name: str) -> None:
     """Reject NaN and +-inf, naming the first one's time index (row + 1) and,
     in a feature block, its column (f1, f2, ...)."""
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
+    if not np.isfinite(values).all() and (bad := np.argwhere(~np.isfinite(values))).size:
         row, *col = bad[0].tolist()
         where = f"{name} f{col[0] + 1}" if col else name
         value = values[tuple(bad[0])]
@@ -107,7 +106,7 @@ class InstanceSeries:
         require_finite(feats, "feature")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must be 1-d and match the number of instances")
-        if not np.all(np.isin(labs, (-1, 1))):
+        if not np.all((labs == -1) | (labs == 1)):
             raise ValueError("labels must be -1 or +1")
         self.features, self.labels = feats, read_only(labs, np.int8)
 
@@ -146,8 +145,7 @@ def quarter_labels(n: int) -> np.ndarray:
     """Labels for an n-instance split: quarters of (-1, +1, -1, +1)."""
     if n <= 0 or n % 4 != 0:
         raise ValueError(f"split length must be a positive multiple of 4, got {n}")
-    q = n // 4
-    return np.tile(np.repeat([NORMAL_LABEL, ANOMALOUS_LABEL], q), 2)
+    return np.repeat([NORMAL_LABEL, ANOMALOUS_LABEL] * 2, n // 4)
 
 
 def _sample_split(rng: np.random.Generator, n: int, config: GeneratorConfig) -> InstanceSeries:
@@ -184,15 +182,15 @@ def generate_benchmark_suite(
 
 
 def centroid_distance(train: InstanceSeries, test: InstanceSeries) -> float:
-    """Euclidean distance between the per-class feature means over train+test."""
-    feats = np.vstack([train.features, test.features])
-    labs = np.concatenate([train.labels, test.labels])
+    """Euclidean distance between the per-class feature means over train+test.
+    A class's rows are summed in row order, train's then test's, as the mean
+    of the stacked splits adds them, so each mean keeps its bits."""
     out = []
     for lab in (NORMAL_LABEL, ANOMALOUS_LABEL):
-        mask = labs == lab
-        if not mask.any():
+        rows = np.concatenate([s.features.compress(s.labels == lab, axis=0) for s in (train, test)])
+        if not len(rows):
             raise ValueError(f"dataset has no instances with label {lab:+d}")
-        out.append(feats[mask].mean(axis=0))
+        out.append(np.cumsum(rows, axis=0)[-1] / len(rows))
     return float(np.linalg.norm(out[1] - out[0]))
 
 

@@ -92,33 +92,30 @@ class DCAPopulation:
 
     @classmethod
     def from_lifespans(cls, lifespans) -> "DCAPopulation":
-        return cls(tuple(DendriticCell(float(v)) for v in np.asarray(lifespans, dtype=float)))
+        return cls(tuple(map(DendriticCell, np.asarray(lifespans, dtype=float).tolist())))
 
 
 def preprocess(series: InstanceSeries) -> SignalSeries:
     """Build safe/danger signals from a two-feature labeled block."""
     if series.n_features != 2:
         raise ValueError(f"expected exactly 2 features, got {series.n_features}")
-    feats = series.features
-    lo = feats.min(axis=0)
-    hi = feats.max(axis=0)
-    span = hi - lo
+    columns = series.features.T  # one column at a time is numpy's fast path
+    lo = np.array([col.min() for col in columns])
+    span = np.array([col.max() for col in columns]) - lo
     if np.any(span == 0):
         flat = int(np.flatnonzero(span == 0)[0])
         raise NormalizationError(f"feature {flat + 1} is constant; cannot normalize")
-    norm = (feats - lo) / span
+    norm = [(col - a) / b for col, a, b in zip(columns, lo, span)]
 
     anomalous = np.where(series.labels == ANOMALOUS_LABEL, 1.0, -1.0)
     if np.all(anomalous == anomalous[0]):
         raise ValueError("block contains a single class; correlations are undefined")
-    correlations = np.array(
-        [float(np.corrcoef(norm[:, j], anomalous)[0, 1]) for j in range(2)]
-    )
+    correlations = np.array([float(np.corrcoef(col, anomalous)[0, 1]) for col in norm])
 
     danger_idx = int(np.argmax(correlations))
     safe_idx = 1 - danger_idx
-    danger = norm[:, danger_idx]
-    safe = norm[:, safe_idx]
+    danger = norm[danger_idx]
+    safe = norm[safe_idx]
     invert = correlations[safe_idx] > 0
     if invert:
         safe = 1.0 - safe

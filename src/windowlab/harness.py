@@ -199,7 +199,7 @@ def _run_dataset(index: int, dataset: Dataset, config: ExperimentConfig,
             labels, tuned = method_labels(method, inputs, config)
         except Exception as exc:
             raise RuntimeError(f"method {method} failed on dataset {index}: {exc}") from exc
-        error = float(np.mean(labels != inputs.test.labels))
+        error = float(np.count_nonzero(labels != inputs.test.labels) / len(inputs.test))
         parameter = tuned.parameter if isinstance(tuned, windows.TunedFilter) else None
         model = inputs.model if keep_models and method not in _DCA else None
         per_method[method] = ResultRow(index, distance, method, error, parameter, model)

@@ -272,6 +272,20 @@ def _refresh_bounds(up_ok, low_ok, alphas, y, C, idx) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Dataset set-up, as first written
+# ---------------------------------------------------------------------------
+
+
+def centroid_distance(train, test) -> float:
+    """The splits stacked, each class's mean by ``mean(axis=0)`` and the norm
+    of their difference: the formula whose bits the package must keep."""
+    feats = np.vstack([train.features, test.features])
+    labs = np.concatenate([train.labels, test.labels])
+    means = [feats[labs == lab].mean(axis=0) for lab in (-1, 1)]
+    return float(np.linalg.norm(means[1] - means[0]))
+
+
+# ---------------------------------------------------------------------------
 # Dendritic cells, stepped literally
 # ---------------------------------------------------------------------------
 

@@ -208,6 +208,17 @@ class TestBadConfig:
         pattern = re.escape(f"{setting} must be a whole number >= {least}, got {value}")
         rejects(lambda: ExperimentConfig(**{"seed": 1, setting: value}), pattern)
 
+    @pytest.mark.parametrize("setting, value, shown", [
+        ("seed", "5", "'5'"), ("n_datasets", "3", "'3'"), ("seed", None, "None"),
+        ("seed", True, "True"), ("seed", np.True_, "True"), ("window_grid", [4], "[4]"),
+    ])
+    def test_a_setting_that_is_not_a_number_is_named(self, setting, value, shown):
+        # "5" used to raise a bare TypeError from ">=", None one from float(),
+        # and True ran seed 1
+        least = {"n_datasets": 2, "window_grid": 1}.get(setting, 0)
+        pattern = re.escape(f"{setting} must be a whole number >= {least}, got {shown}")
+        rejects(lambda: ExperimentConfig(**{"seed": 1, setting: value}), pattern)
+
     def test_whole_floats_are_used_as_integers(self):
         cfg = ExperimentConfig(seed=7.0, n_datasets=2.0, n_train=8.0, n_test=12.0)
         got = cfg.seed, cfg.n_datasets, cfg.n_train, cfg.n_test

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from windowlab import write_lines
 from windowlab.freq import (
     FrequencyResponse,
     dc_gain,
@@ -172,3 +173,27 @@ class TestGainSweep:
 def test_frequency_response_magnitude():
     resp = FrequencyResponse(0.5, 3 + 4j)
     assert resp.magnitude == pytest.approx(5.0)
+
+
+class TestWholeFileWrites:
+    def test_a_sweep_that_raises_leaves_no_file(self, tmp_path):
+        # It used to leave g.csv with its header and the four W=2 rows.
+        with pytest.raises(ValueError, match="window width must be >= 1, got 0"):
+            write_gain_sweeps(tmp_path / "g.csv", widths=(2, 0), n_points=4)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failing_rewrite_keeps_the_old_bytes(self, tmp_path):
+        old = write_gain_sweeps(tmp_path / "g.csv", widths=(3,), n_points=2).read_bytes()
+        with pytest.raises(ValueError):
+            write_gain_sweeps(tmp_path / "g.csv", widths=(2, 0), n_points=4)
+        assert (tmp_path / "g.csv").read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
+
+    def test_a_good_write_gives_its_lines_and_nothing_else(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"a longer file that the new one must not keep any part of\n" * 50)
+        assert write_lines(path, iter(["x,y", "1,2.5", "\u00e9"])) == path
+        assert path.read_bytes() == "x,y\n1,2.5\n\u00e9\n".encode()
+        fresh = write_gain_sweeps(tmp_path / "fresh.csv", widths=(2, 4), n_points=5).read_bytes()
+        assert write_gain_sweeps(path, widths=(2, 4), n_points=5).read_bytes() == fresh
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "g.csv"]
