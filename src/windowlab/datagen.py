@@ -74,11 +74,16 @@ class GeneratorConfig(Record):
 def require_finite(values: np.ndarray, name: str) -> None:
     """Reject NaN and +-inf, naming the first one's time index (row + 1) and,
     in a feature block, its column (f1, f2, ...)."""
-    if not np.isfinite(values).all() and (bad := np.argwhere(~np.isfinite(values))).size:
-        row, *col = bad[0].tolist()
+    if not np.isfinite(values).all():
+        values = np.atleast_1d(values)  # a 0-d value is time index 1
+        row, *col = bad = np.argwhere(~np.isfinite(values))[0].tolist()
         where = f"{name} f{col[0] + 1}" if col else name
-        value = values[tuple(bad[0])]
-        raise ValueError(f"{where} is {value} at time index {row + 1}; must be finite")
+        raise ValueError(f"{where} is {values[tuple(bad)]} at time index {row + 1}; must be finite")
+
+
+def plus_minus_one(values) -> bool:
+    """Whether every value equals -1 or +1, by comparison, so 1.5 and 1j fail."""
+    return bool(np.all((values == -1) | (values == 1)))
 
 
 def read_only(values, dtype) -> np.ndarray:
@@ -106,7 +111,7 @@ class InstanceSeries:
         require_finite(feats, "feature")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must be 1-d and match the number of instances")
-        if not np.all((labs == -1) | (labs == 1)):
+        if not plus_minus_one(labs):
             raise ValueError("labels must be -1 or +1")
         self.features, self.labels = feats, read_only(labs, np.int8)
 

@@ -25,7 +25,8 @@ target does not pass: a dynamic window's key is the sum through the index,
 passed at ``<=``, and a cell's the sum before it, passed at ``<``, so a cell
 presents on reaching its lifespan.  A cell's vote in a window is its sum of k
 from ``windows.window_sums``, the window sum the filters sign; a batch of
-lanes adds its votes in one call, in the order of a window-by-window loop.
+lanes adds its votes in one call, in the order of a window-by-window loop, and
+a lane of one-instance windows (edges 0..n) in two slice updates.
 """
 
 from __future__ import annotations
@@ -149,10 +150,11 @@ def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> np.ndarr
     vote_diff = np.zeros(len(signals) + 1)
     for edges, starts, votes in window_sums(prefix_sums(k), walk):
         if len(starts) == 1:  # a lane's edges are distinct: gather, update, scatter
-            d = vote_diff[edges]
+            d = vote_diff if len(edges) == len(vote_diff) else vote_diff[edges]  # edges 0..n: in place
             d[1:] -= votes
             d[:-1] += votes
-            vote_diff[edges] = d
+            if d is not vote_diff:
+                vote_diff[edges] = d
         else:  # the straddling pair's zero vote adds -0.0 at 0, a no-op
             np.add.at(vote_diff, np.repeat(edges, 2)[1:-1], np.stack([votes, -votes], 1).ravel())
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datagen import InstanceSeries, read_only, require_finite
+from .datagen import InstanceSeries, plus_minus_one, read_only, require_finite
 
 #: Default stopping tolerance on the maximal KKT violation.
 KKT_TOL = 1e-3
@@ -58,7 +58,7 @@ class ScoreSeries:
         truths = np.asarray(truths)
         if scores.shape != truths.shape or scores.ndim != 1:
             raise ValueError("scores and truths must be 1-d arrays of equal length")
-        if scores.size == 0 or not np.all(np.abs(truths) == 1):
+        if scores.size == 0 or not plus_minus_one(truths):
             raise ValueError("score series must be nonempty, with truth labels -1 or +1")
         require_finite(scores, "score")
         self.scores, self.truths = scores, read_only(truths, int)

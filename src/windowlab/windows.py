@@ -27,7 +27,8 @@ expecting few bisects the keys window by window and shares a batch, so a
 coarse budget costs its windows, not the series length.
 
 Tuning takes the first grid value of least mean squared label error, one lane
-of edges per value, and walks no lane past the first value with none wrong.
+of edges per value, and walks no lane past the first value with none wrong; a
+one-lane batch counts its wrong labels as one product of whole numbers, exact.
 """
 
 from __future__ import annotations
@@ -142,10 +143,12 @@ def _lane_errors(series: ScoreSeries, batches: Iterable[tuple]) -> np.ndarray:
     positives = int(np.sum(series.truths > 0))
     counts, prev = [], None
     for _, starts, sums in window_sums(cum, batches):
-        if sums is not prev:
-            batch, prev = np.add.reduceat(sums[1] * (sums[0] >= 0), starts), sums
+        if sums is not prev:  # whole-number terms, so one lane's product is exact
+            prev, wrong, one = sums, sums[0] >= 0, len(starts) == 1
+            batch = sums[1:] @ wrong if one else np.add.reduceat(sums[1] * wrong, starts)
+            least = batch[0] if one else batch.min()
         counts.append(batch)
-        if batch.min() == -positives:  # none wrong: no later lane can take the argmin
+        if least == -positives:  # none wrong: no later lane can take the argmin
             break
     return (4 * (positives + np.concatenate(counts))) / len(series)
 
@@ -208,12 +211,13 @@ def budget_walk(
       start, and of start n, clipped to ``[start + 1, n]``; ``s`` jumping m
       windows maps the first m edges to the next m, then ``s[s]`` jumps 2m.
       The lane is a batch of its own.  Ends only move forward as the budget
-      grows, so ``s`` is kept with its ends' keys, inf at n, and a step under
-      the mean magnitude re-searches only ends whose key the target now passes
-      and refreshes their keys.  If none does, ``s`` and so the path are
-      unchanged, and the last table lane is yielded again: its edges are
-      read-only.  Other steps rebuild ``s``.  The doubling's buffers are made
-      on the walk's first table lane and kept for the walk; a lane is a copy;
+      grows, so ``s`` is kept, and a step under the mean magnitude re-searches
+      only ends whose key (inf at n) the target now passes; the ends' keys are
+      built on the first such step after a rebuild, then refreshed as ends
+      move.  If none does, ``s`` and so the path are unchanged, and the last
+      table lane is yielded again: its edges are read-only.  Other steps
+      rebuild ``s``.  The doubling reads ``s`` and writes two tables made on
+      the walk's first table lane, in turn; the lane copies its path;
     * few windows (under n / ``_BISECT_STEP_COST``): each step bisects the
       keys from ``start + 1`` alone, so the lane costs its windows, not n.
       Such lanes share a batch, yielded once it holds n edges or a table lane is next.
@@ -226,7 +230,7 @@ def budget_walk(
     before = np.concatenate([[0.0], cum_mag[:-1], [np.inf]])
     floor = np.arange(1, n + 2)
     total = float(cum_mag[-1])
-    cum = pre = scratch = None
+    cum = pre = scratch = at_end = None
     # each index's key, inf at n, the test it passes, and the search for the first that fails
     stop, passed, bisect = (before, np.less, bisect_left) if side == "left" else (
         np.append(cum_mag, np.inf), np.less_equal, bisect_right)
@@ -253,7 +257,9 @@ def budget_walk(
             np.add(before, budget, out=target)
             step, last = budget - last, budget
             if 0 <= step < total / n:  # ends move forward: re-search those passed
-                moved = np.flatnonzero(passed(at_end, target[:n]))
+                if at_end is None:  # built on the first re-search after a rebuild
+                    at_end = stop.take(table[:n])
+                moved = passed(at_end, target[:n]).nonzero()[0]
                 if not moved.size:  # the table, so the path, is unchanged
                     yield lane
                     continue
@@ -263,13 +269,13 @@ def budget_walk(
                 table = keys.searchsorted(target, side)
                 np.maximum(table, floor, out=table)
                 np.minimum(table, n, out=table)
-                at_end = stop.take(table[:n])
-            if scratch is None:  # the doubling's buffers, made once a walk needs them
-                scratch, succ, jump = np.zeros(2 * n, np.intp), table.copy(), table.copy()
+                at_end = None
+            if scratch is None:  # the path's buffer and the doubling's two tables, used in turn
+                scratch, jumps = np.zeros(2 * n, np.intp), tuple(np.empty((2, n + 1), np.intp))
             # m <= windows <= n, so indices stay in range; clip mode skips take's copy of out
-            succ[:], m = table, 1
+            succ, m = table, 1
             while succ.take(scratch[:m], out=scratch[m : 2 * m], mode="clip")[-1] < n:
-                succ, jump, m = succ.take(succ, out=jump, mode="clip"), succ, 2 * m
+                succ, m = succ.take(succ, out=jumps[succ is jumps[0]], mode="clip"), 2 * m
             path = scratch[: scratch[: 2 * m].searchsorted(n) + 1].copy()  # rises to n, then stays
             path.flags.writeable = False  # a lane may be yielded again
             lane = path, _ONE_LANE

@@ -332,3 +332,51 @@ class TestRunDca:
             signals_from([0.2, 0.2, 0.2, 0.2], [0.1, -3.0, 0.3, 0.4])
         with pytest.raises(ValueError, match="danger signal is nan at time index 3"):
             signals_from([0.2, 1.5, 0.2, 0.2], [0.1, 0.2, np.nan, 0.4])
+
+
+class TestSingletonVoteParity:
+    """A one-lane batch whose edges are 0..n updates the difference array by two
+    slices in the window-by-window add order; a batch of several lanes that
+    also holds n + 1 edges goes through the scatter-add."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ladders_of_one_instance_windows(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(20, 300))
+        safe, danger = rng.uniform(0.05, 0.5, n), rng.uniform(0.05, 0.5, n)
+        sig = signals_from(safe, danger)
+        csm, _ = signal_transform(safe, danger)
+        lifespans = init_lifespans(sig, 30, 1.0)
+        lifespans = lifespans[lifespans <= csm.min()]  # at most min(csm): every window one instance
+        assert len(lifespans) >= 2
+        for edges, starts in budget_walk(np.cumsum(csm), lifespans, "left"):
+            assert len(starts) == 1 and edges.tolist() == list(range(n + 1))
+        vote_sums = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
+        expected = oracles.dca_vote_sums(safe, danger, lifespans)
+        assert vote_sums.tobytes() == expected.tobytes()
+
+    def test_mixed_ladder_of_one_instance_and_wider_windows(self):
+        rng = np.random.default_rng(210)
+        safe, danger = rng.uniform(0.05, 0.5, 150), rng.uniform(0.05, 0.5, 150)
+        sig = signals_from(safe, danger)
+        lifespans = init_lifespans(sig, 40, 1.0)
+        csm, _ = signal_transform(safe, danger)
+        assert lifespans[0] <= csm.min() < lifespans[-1]
+        vote_sums = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
+        expected = oracles.dca_vote_sums(safe, danger, lifespans)
+        assert vote_sums.tobytes() == expected.tobytes()
+
+    def test_a_sparse_batch_of_exactly_n_plus_one_edges(self):
+        """csm = 1 everywhere, so a lifespan of w - 0.5 gives windows of w over
+        100 instances: these 12 lanes hold 101 edges in one batch."""
+        safe = np.random.default_rng(220).integers(0, 9, 100) / 8.0
+        danger = 1.0 - safe  # exact on eighths: csm is 1.0
+        sig = signals_from(safe, danger)
+        widths = [9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 100, 101]
+        lifespans = np.array(widths) - 0.5
+        batches = [(len(e), len(s)) for e, s in budget_walk(np.cumsum(safe + danger), lifespans,
+                                                            "left")]
+        assert batches == [(101, 12), (2, 1)]
+        vote_sums = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
+        expected = oracles.dca_vote_sums(safe, danger, lifespans)
+        assert vote_sums.tobytes() == expected.tobytes()

@@ -4,9 +4,10 @@ The centroid distance sums each class's rows in row order, train's then
 test's, instead of stacking both splits and taking ``mean(axis=0)``;
 ``dca.preprocess`` takes each feature's range one column at a time; and the
 label check of ``InstanceSeries`` compares with -1 and +1 instead of calling
-``np.isin``.  Each must agree with the reference formula on every input, bit for
-bit where it yields floats.  ``np.linalg.norm`` in the centroid distance is a
-BLAS dot, so these tests also run on a second BLAS kernel in CI.
+``np.isin``, and the truth check of ``ScoreSeries`` is the same check.  Each
+must agree with the reference formula on every input, bit for bit where it
+yields floats.  ``np.linalg.norm`` in the centroid distance is a BLAS dot, so
+these tests also run on a second BLAS kernel in CI.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ import oracles
 from windowlab.datagen import Dataset, GeneratorConfig, InstanceSeries, centroid_distance
 from windowlab.dca import preprocess
 from windowlab.harness import ExperimentConfig, ResultsTable, run_experiment
+from windowlab.svm import ScoreSeries
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 LABELS = st.sampled_from([-1, 1])
@@ -119,25 +121,41 @@ def check_accepts(labels) -> bool:
     return True
 
 
+LABEL_ARRAYS = [
+    np.array([255], dtype=np.uint8),
+    np.array([1, 255], dtype=np.uint8),
+    np.array([1, 1], dtype=np.uint8),
+    np.array([65535, 1], dtype=np.uint16),
+    np.array([-1.0, 0.5]),
+    np.array([-1.0, np.nan]),
+    np.array([-1.0, 1.0]),
+    np.array([True, True]),
+    np.array([False, True]),
+    np.array([-1, 1], dtype=object),
+    np.array([-1.0, True], dtype=object),
+    np.array(["a", 1], dtype=object),
+    np.array([None, 1], dtype=object),
+    np.array([1j, 1]),
+]
+
+
+def score_series_accepts(labels) -> bool:
+    try:
+        ScoreSeries(np.zeros(len(labels)), labels)
+    except ValueError as exc:
+        assert str(exc) == "score series must be nonempty, with truth labels -1 or +1"
+        return False
+    return True
+
+
 class TestLabelCheckParity:
-    @pytest.mark.parametrize("labels", [
-        np.array([255], dtype=np.uint8),
-        np.array([1, 255], dtype=np.uint8),
-        np.array([1, 1], dtype=np.uint8),
-        np.array([65535, 1], dtype=np.uint16),
-        np.array([-1.0, 0.5]),
-        np.array([-1.0, np.nan]),
-        np.array([-1.0, 1.0]),
-        np.array([True, True]),
-        np.array([False, True]),
-        np.array([-1, 1], dtype=object),
-        np.array([-1.0, True], dtype=object),
-        np.array(["a", 1], dtype=object),
-        np.array([None, 1], dtype=object),
-        np.array([1j, 1]),
-    ], ids=repr)
+    @pytest.mark.parametrize("labels", LABEL_ARRAYS, ids=repr)
     def test_accepts_exactly_what_isin_accepts(self, labels):
         assert check_accepts(labels) == isin_accepts(labels)
+
+    @pytest.mark.parametrize("labels", LABEL_ARRAYS, ids=repr)
+    def test_score_series_checks_truths_as_instance_series_checks_labels(self, labels):
+        assert score_series_accepts(labels) == check_accepts(labels)
 
     @given(st.lists(st.sampled_from([-1, 1, 0, 2, 127, -128, 255, 257, -255]), min_size=1,
                     max_size=8),
@@ -145,7 +163,7 @@ class TestLabelCheckParity:
     @settings(max_examples=200, deadline=None)
     def test_labels_of_every_integer_width(self, values, dtype):
         labels = np.array(values).astype(dtype)  # wraps: -1 as uint8 is 255
-        assert check_accepts(labels) == isin_accepts(labels)
+        assert check_accepts(labels) == isin_accepts(labels) == score_series_accepts(labels)
 
 
 class TestErrorRateCells:

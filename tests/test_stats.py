@@ -220,6 +220,12 @@ class TestNormalityReport:
             with pytest.raises(ValueError, match="Shapiro-Wilk sample is inf at time index 3"):
                 normality_report(np.array(values))
 
+    @pytest.mark.parametrize("value", [float("nan"), np.float64(-np.inf), np.array(np.inf)])
+    def test_a_single_non_finite_value_is_named(self, value):
+        # a 0-d value has no row to name, yet it is not a sample of size 1
+        with pytest.raises(ValueError, match=f"Shapiro-Wilk sample is {float(value)} at time index 1"):
+            normality_report(value)
+
 
 class TestNonFiniteSample:
     """A NaN or infinite value fails by the sample's name and 1-based position,

@@ -391,6 +391,11 @@ class TestScoreSeries:
         with pytest.raises(ValueError, match=r"truth labels -1 or \+1"):
             ScoreSeries(np.array([0.5, -0.5]), np.array([1.0, bad]))
 
+    def test_rejects_a_complex_truth_of_modulus_one(self):
+        # |1j| == 1: a modulus check would pass it, and the int cast make it 0
+        with pytest.raises(ValueError, match=r"truth labels -1 or \+1"):
+            ScoreSeries([0.5, -0.2], np.array([1j, -1]))
+
     def test_two_point_scores_symmetric(self):
         model = train(TWO_POINTS, C=1.0)
         out = score_series(model, TWO_POINTS)

@@ -290,6 +290,57 @@ class TestTuneStatic:
         assert (tuned.parameter, tuned.training_error) == oracles.tune_static(scores, truths, sizes)
 
 
+class TestOneLaneCountParity:
+    """A one-lane batch counts its wrong labels as one product of its window
+    sums.  Every term is a whole number, so the count is exact in any summation
+    order, on any BLAS kernel, and equals the batched masked sums bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_one_width_per_batch_equals_the_batched_widths(self, seed):
+        """Even seeds draw uneven truths; odd ones copy a width's labels, so a
+        lane has none wrong and the one-per-batch count stops there."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 150))
+        scores = rng.normal(0.1, 1.0, n)
+        if seed % 2:
+            truths = oracles.static_labels(scores, int(rng.integers(1, n + 1)))
+        else:
+            truths = rng.choice([-1, 1], n, p=[0.3, 0.7])
+        series, sizes, taken = make_series(scores, truths), np.arange(1, n + 1), []
+
+        def one_per_batch():
+            for alpha in sizes:
+                taken.append(int(alpha))
+                yield from windows._static_batches(n, sizes[alpha - 1 : alpha])
+
+        one = windows._lane_errors(series, one_per_batch())
+        batched = windows._lane_errors(series, windows._static_batches(n, sizes))
+        expected = [oracles.mean_square_label_error(oracles.static_labels(scores, a), truths)
+                    for a in taken]
+        assert one.tolist() == expected and 0.0 not in expected[:-1]
+        if seed % 2:  # the copied width, or one before it, has none wrong
+            assert expected[-1] == 0.0
+        else:
+            assert len(one) == len(batched) == n
+        assert one.tobytes() == batched[: len(one)].tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_walks_table_lanes_equal_the_same_lanes_in_one_batch(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        n = 300
+        series = make_series(rng.normal(0.1, 1.0, n), rng.choice([-1, 1], n, p=[0.4, 0.6]))
+        grid = make_threshold_grid(series, 100, 1.0)
+        walk = list(budget_walk(np.cumsum(np.abs(series.scores)), grid.thresholds, "right"))
+        assert all(len(starts) == 1 for _, starts in walk)
+        lanes = [edges for edges, _ in walk]
+        joined = np.concatenate(lanes), np.cumsum([0] + [len(e) for e in lanes[:-1]])
+        one = windows._lane_errors(series, walk)
+        assert one.tobytes() == windows._lane_errors(series, [joined])[: len(one)].tobytes()
+        expected = [oracles.mean_square_label_error(oracles.dynamic_labels(series.scores, b),
+                                                    series.truths) for b in grid.thresholds]
+        assert one.tolist() == expected[: len(one)]
+
+
 class TestNonFiniteScores:
     def test_threshold_grid_names_the_nan(self):
         # Without the check the NaN peak makes every threshold NaN: "must be positive".
@@ -647,6 +698,21 @@ class TestTableReuse:
         assert np.any(moves[:-2] & ~moves[1:-1] & moves[2:])
         for edges, budget in zip(lanes, budgets):
             assert spans_of(edges) == oracles.budget_spans(increments, budget, side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_each_rebuild_drops_the_ends_keys_the_last_re_search_kept(self, side):
+        """Steps of 2/128 (moves 20 ends), 1/128 (moves none), down to 1/128
+        (rebuilds), 4/128 (moves 20) and 1/128 (moves none): each re-search
+        right after a rebuild reads the ends' keys of the rebuilt table."""
+        budgets = np.array([3, 5, 6, 1, 5, 6]) / 128
+        cum = np.cumsum(GRID_INCREMENTS).view(SearchLog)
+        cum.log = []
+        lanes = [edges for edges, _ in budget_walk(cum, budgets, side)]
+        full = len(GRID_INCREMENTS) + 1
+        assert cum.log == [full, 20, full, 20]
+        assert [b is a for a, b in zip(lanes, lanes[1:])] == [False, True, False, False, True]
+        for edges, budget in zip(lanes, budgets):
+            assert spans_of(edges) == oracles.budget_spans(GRID_INCREMENTS, budget, side)
 
     @pytest.mark.parametrize(
         "budgets",
