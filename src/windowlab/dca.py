@@ -19,14 +19,10 @@ anomalous when the mean of its received votes is >= 0.
 
 Their accumulate-and-reset behaviour gives each cell the same disjoint,
 contiguous, covering window structure as the dynamic moving-window filter, with
-csm as the score magnitude: each cell is one lane of edges from
-``windows.budget_walk``.  A window ends at the first index whose key its
-target does not pass: a dynamic window's key is the sum through the index,
-passed at ``<=``, and a cell's the sum before it, passed at ``<``, so a cell
-presents on reaching its lifespan.  A cell's vote in a window is its sum of k
-from ``windows.window_sums``, the window sum the filters sign; a batch of
-lanes adds its votes in one call, in the order of a window-by-window loop, and
-a lane of one-instance windows (edges 0..n) in two slice updates.
+csm as the magnitude that closes a window and k as the evidence summed in it.
+So the population's vote sums are ``windows.ensemble_votes(csm, k, lifespans)``:
+one lane per cell, closed by the "left" rule that ``windows`` documents, under
+which a cell presents on reaching its lifespan.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datagen import ANOMALOUS_LABEL, InstanceSeries, read_only, require_finite
-from .windows import budget_ladder, budget_walk, prefix_sums, sign_labels, window_sums
+from .windows import budget_ladder, ensemble_votes, sign_labels
 
 
 class NormalizationError(ValueError):
@@ -144,21 +140,7 @@ def init_lifespans(signals: SignalSeries, m: int, lam: float) -> np.ndarray:
 def run_dca_scores(signals: SignalSeries, population: DCAPopulation) -> np.ndarray:
     """Process the full series with every cell; per-instance vote sums."""
     csm, k = signal_transform(signals.safe, signals.danger)
-    walk = budget_walk(np.cumsum(csm), [c.lifespan for c in population.cells], "left")
-
-    # Range-add votes cell by cell, closings first: a window-by-window walk's add order.
-    vote_diff = np.zeros(len(signals) + 1)
-    for edges, starts, votes in window_sums(prefix_sums(k), walk):
-        if len(starts) == 1:  # a lane's edges are distinct: gather, update, scatter
-            d = vote_diff if len(edges) == len(vote_diff) else vote_diff[edges]  # edges 0..n: in place
-            d[1:] -= votes
-            d[:-1] += votes
-            if d is not vote_diff:
-                vote_diff[edges] = d
-        else:  # the straddling pair's zero vote adds -0.0 at 0, a no-op
-            np.add.at(vote_diff, np.repeat(edges, 2)[1:-1], np.stack([votes, -votes], 1).ravel())
-
-    return np.cumsum(vote_diff[:-1])
+    return ensemble_votes(csm, k, [c.lifespan for c in population.cells])
 
 
 def run_dca(signals: SignalSeries, population: DCAPopulation) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Frequency-domain view of the fixed-width filters.
 
-Two discrete-time transfer functions are evaluated here: the gain of a
-width-W sliding average, and the gain of a width-W filter that only reports
-every W steps (the fixed-window idealization of an accumulating cell).  As
-specified, the second's W copies are shifted by whole turns 2*pi*g, and
-exp(-j*2*pi*b*g) = 1 for whole b and g, so it equals the sliding gain exactly:
-the sweep's two columns differ by rounding alone, at most 1.3e-14.
+Two discrete-time gains are evaluated here: H_S, the gain of a width-W sliding
+average, and |H_S|^2, the in-band gain of a width-W filter that reports every
+W steps.  The second is one DCA cell with csm = 1 and lifespan W, which gives
+every instance its window's sum: divided by W, its response to exp(j*w*t),
+projected on exp(j*w*t), is |H_S|^2, real, so the cell adds no phase.  The
+rest of its output power, |H_S|^2 - |H_S|^4, lands on aliases of w.
 Frequencies are in radians per sample step; sweeps cover [0, pi].
 """
 
@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import write_lines
+from . import whole_number, write_lines
 
 
 class FrequencyResponse(NamedTuple):
@@ -41,8 +41,7 @@ def sliding_window_output(values, width: int) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError("input must be 1-d")
-    if width < 1:
-        raise ValueError(f"window width must be >= 1, got {width}")
+    width = whole_number(width, "window width", 1)
     if width > x.shape[0]:
         raise ValueError(f"window width {width} exceeds input length {x.shape[0]}")
     windows = np.lib.stride_tricks.sliding_window_view(x, width)
@@ -50,17 +49,13 @@ def sliding_window_output(values, width: int) -> np.ndarray:
 
 
 def _gains(width: int, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both filters' complex gains at each of ``omegas``, by the formulas
-    below, for about 1,024 / W^2 frequencies at a time."""
-    if width < 1:
-        raise ValueError(f"window width must be >= 1, got {width}")
-    g, rows = np.arange(width), max(1, 1024 // width**2)
-    sliding, dc = [], []
-    for block in np.split(omegas, np.arange(rows, len(omegas), rows)):
-        sliding.append(np.exp(-1j * g * block[:, None]).sum(axis=1))
-        shifted = block[:, None, None] + 2.0 * np.pi * g
-        dc.append(np.exp(-1j * (g[:, None] * shifted)).reshape(len(block), -1).sum(axis=1))
-    return np.concatenate(sliding) / width, np.concatenate(dc) / width**2
+    """Both filters' gains at each of ``omegas``, H_S complex and |H_S|^2
+    real, for about 1,024 / W frequencies at a time."""
+    width = whole_number(width, "window width", 1)
+    g, rows = np.arange(width), max(1, 1024 // width)
+    blocks = np.split(omegas, np.arange(rows, len(omegas), rows))
+    sliding = np.concatenate([np.exp(-1j * g * b[:, None]).sum(axis=1) for b in blocks]) / width
+    return sliding, np.abs(sliding) ** 2
 
 
 def sliding_window_gain(width: int, omega: float) -> FrequencyResponse:
@@ -69,8 +64,8 @@ def sliding_window_gain(width: int, omega: float) -> FrequencyResponse:
 
 
 def dc_gain(width: int, omega: float) -> FrequencyResponse:
-    """Gain of the width-W present-every-W filter:
-    (1/W^2) sum_g sum_b exp(-j b (w + 2 g pi))."""
+    """In-band gain of the width-W present-every-W filter:
+    |H_S(w)|^2 = (1/W^2) sum_g sum_b exp(-j w (b - g))."""
     return FrequencyResponse(float(omega), complex(_gains(width, np.array([omega]))[1][0]))
 
 
@@ -83,6 +78,6 @@ def write_gain_sweeps(
     if n_points < 2:
         raise ValueError(f"a sweep needs at least 2 points, got {n_points}")
     omegas = np.arange(n_points) * np.pi / (n_points - 1)
-    rows = (f"{width},{w!r},{abs(s)!r},{abs(d)!r}" for width in widths
+    rows = (f"{int(width)},{w!r},{abs(s)!r},{abs(d)!r}" for width in widths
             for w, s, d in zip(omegas.tolist(), *map(np.ndarray.tolist, _gains(width, omegas))))
     return write_lines(path, chain(["W,omega,G_S_mag,G_D_mag"], rows))

@@ -13,11 +13,13 @@ long, and its sum is a difference of ``prefix_sums``.  Lanes travel in batches
 of about n edges: their edges concatenated, and where each lane starts.  Only
 ``window_sums`` reads their window sums: one gather, the pair straddling two
 lanes zeroed, the same sums for a lane yielded again.  Static edges are every
-``alpha``-th index.  Dynamic edges come from ``budget_walk``, which ``dca``
-shares: the window from ``start`` ends at the first index after it whose key
-the target ``p[start] + budget`` does not pass, or at n.  The filter's key is
-the prefix sum through the index, passed at ``<=``; the DCA's is the sum
-before it, passed at ``<``, so a DCA window closes on reaching its budget.
+``alpha``-th index.  Dynamic edges come from ``budget_walk``: the window from
+``start`` ends at the first index after it whose key the target
+``p[start] + budget`` does not pass, or at n.  The filter's key is the prefix
+sum through the index, passed at ``<=``; the DCA's is the sum before it,
+passed at ``<``, so a DCA window closes on reaching its budget.  The DCA is
+``ensemble_votes``: one such lane per lifespan, every instance voted its
+window's evidence sum by each, so no other module reads a batch.
 An end depends only on its start, so each budget's windows are a path from
 index 0.  A budget expecting many windows walks a successor table of all
 starts by pointer doubling, about log2(windows) array steps, as a batch of its
@@ -283,6 +285,26 @@ def budget_walk(
     if edges:
         batch, edges, starts = (np.array(edges, np.intp), np.array(starts, np.intp)), [], []
         yield batch
+
+
+def ensemble_votes(magnitudes, evidence, budgets) -> np.ndarray:
+    """Each instance's sum, over the budgets, of the evidence sum of the window
+    that holds it: one "left" lane per budget over the nonnegative magnitudes."""
+    walk = budget_walk(np.cumsum(magnitudes), budgets, "left")
+
+    # Range-add votes lane by lane, closings first: a window-by-window walk's add order.
+    vote_diff = np.zeros(len(magnitudes) + 1)
+    for edges, starts, votes in window_sums(prefix_sums(evidence), walk):
+        if len(starts) == 1:  # a lane's edges are distinct: gather, update, scatter
+            d = vote_diff if len(edges) == len(vote_diff) else vote_diff[edges]  # edges 0..n: in place
+            d[1:] -= votes
+            d[:-1] += votes
+            if d is not vote_diff:
+                vote_diff[edges] = d
+        else:  # the straddling pair's zero vote adds -0.0 at 0, a no-op
+            np.add.at(vote_diff, np.repeat(edges, 2)[1:-1], np.stack([votes, -votes], 1).ravel())
+
+    return np.cumsum(vote_diff[:-1])
 
 
 def dynamic_label(series: ScoreSeries, beta: float) -> np.ndarray:

@@ -366,6 +366,21 @@ def dca_vote_sums(safe, danger, lifespans) -> np.ndarray:
     return np.array(prefix_sums(diff[:-1]))
 
 
+def ensemble_vote_sums(magnitudes, evidence, budgets) -> np.ndarray:
+    """Per-instance sums over the budgets of the evidence sum of the "left"
+    window holding each instance, range-added through a difference array one
+    window at a time, lane by lane: += vote at the window's start, then -=
+    vote just past its end, so at each index a closing comes before an opening."""
+    cum = [0.0] + prefix_sums(evidence)
+    diff = [0.0] * len(cum)
+    for budget in budgets:
+        for start, end in budget_spans(magnitudes, budget, "left"):
+            vote = cum[end + 1] - cum[start]
+            diff[start] += vote
+            diff[end + 1] -= vote
+    return np.array(prefix_sums(diff[:-1]))
+
+
 # ---------------------------------------------------------------------------
 # Frequency responses in extended precision
 # ---------------------------------------------------------------------------
@@ -381,14 +396,13 @@ def mp_sliding_gain(width: int, omega: float, dps: int = 50) -> complex:
 
 
 def mp_dc_gain(width: int, omega: float, dps: int = 50) -> complex:
+    """|H_S(omega)|^2: the sliding gain's squared modulus, in extended precision."""
     with mp.workdps(dps):
         om = mp.mpf(omega)
         total = mp.mpc(0)
         for g in range(width):
-            shifted = om + 2 * g * mp.pi
-            for b in range(width):
-                total += mp.exp(-1j * b * shifted)
-        return complex(total / width**2)
+            total += mp.exp(-1j * g * om)
+        return complex(abs(total / width) ** 2)
 
 
 def sliding_means(values, width: int) -> np.ndarray:

@@ -1,11 +1,14 @@
+import ast
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from windowlab import dca
 from windowlab.datagen import Dataset, GeneratorConfig, InstanceSeries
 from windowlab.dca import (
     DCAPopulation,
@@ -380,3 +383,13 @@ class TestSingletonVoteParity:
         vote_sums = run_dca_scores(sig, DCAPopulation.from_lifespans(lifespans))
         expected = oracles.dca_vote_sums(safe, danger, lifespans)
         assert vote_sums.tobytes() == expected.tobytes()
+
+
+def test_only_windows_reads_a_lane_batch():
+    # The DCA's votes are one call of the shared kernel, so dca.py imports no
+    # walk, window sum or prefix sum.
+    tree = ast.parse(Path(dca.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "windows"
+                for alias in node.names}
+    assert imported == {"budget_ladder", "ensemble_votes", "sign_labels"}

@@ -12,6 +12,7 @@ from windowlab.freq import (
     sliding_window_output,
     write_gain_sweeps,
 )
+from windowlab.windows import ensemble_votes
 
 
 class TestSlidingWindowOutput:
@@ -94,6 +95,18 @@ class TestDcGain:
             ref = oracles.mp_dc_gain(width, float(omega))
             assert abs(dc_gain(width, float(omega)).gain - ref) < 1e-12
 
+    @pytest.mark.parametrize("width", [2, 3, 4, 8, 16])
+    def test_one_cell_presenting_every_w_steps_has_this_gain(self, width):
+        # csm = 1 and lifespan W: every instance gets the sum of its W-long
+        # window, so exp(j*w*t) projected back on itself over 1,024 windows,
+        # divided by W, is the cell's in-band gain.
+        t = np.arange(1024 * width)
+        for omega in np.linspace(0, np.pi, 17):
+            ones, x = np.ones(t.size), np.exp(1j * omega * t)
+            out = ensemble_votes(ones, x.real, [width]) + 1j * ensemble_votes(ones, x.imag, [width])
+            in_band = np.mean(out * x.conj()) / width
+            assert abs(in_band - dc_gain(width, float(omega)).gain) < 1e-12
+
 
 class TestSinusoidSteadyState:
     @pytest.mark.parametrize("width,cycles", [(2, 3), (4, 5), (8, 3)])
@@ -134,22 +147,21 @@ class TestGainSweep:
             assert sliding == sliding_window_gain(width, omega).magnitude
             assert cell == dc_gain(width, omega).magnitude
 
-    def test_present_every_w_gain_equals_the_sliding_gain(self, tmp_path):
-        # Its copies are shifted by whole turns 2*pi*g and exp(-j*2*pi*b*g) = 1
-        # for whole b and g, so over the default sweep the two differ by rounding.
+    def test_present_every_w_gain_is_the_squared_sliding_gain(self, tmp_path):
         rows = sweep_rows(tmp_path / "gains.csv", (2, 4, 8, 16), 256)
         assert len(rows) == 4 * 256
         for width, omega, sliding, cell in rows:
-            assert abs(dc_gain(width, omega).gain - sliding_window_gain(width, omega).gain) <= 1e-13
-            assert abs(cell - sliding) <= 1e-13
+            squared = sliding_window_gain(width, omega).magnitude ** 2
+            assert abs(dc_gain(width, omega).gain - squared) <= 1e-15
+            assert abs(cell - sliding**2) <= 1e-12
 
     def test_rejects_short_sweep(self, tmp_path):
         with pytest.raises(ValueError):
             write_gain_sweeps(tmp_path / "gains.csv", widths=(3,), n_points=1)
 
     def test_default_sweep_memory_is_blocked(self, tmp_path):
-        # Both halves go about 1,024 / W^2 frequencies at a time, so no
-        # width's whole sweep is ever held as one array of terms.
+        # H_S goes about 1,024 / W frequencies at a time, so no width's
+        # whole sweep is ever held as one array of terms.
         write_gain_sweeps(tmp_path / "warm.csv")
         tracemalloc.start()
         try:
@@ -170,6 +182,25 @@ class TestGainSweep:
         assert float(first[2]) == pytest.approx(1.0)
 
 
+class TestWholeWidths:
+    @pytest.mark.parametrize("width, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'"), (0, "0")])
+    def test_every_entry_point_names_a_width_that_is_not_whole(self, tmp_path, width, shown):
+        message = f"window width must be a whole number >= 1, got {shown}$"
+        for call in (lambda: sliding_window_gain(width, 0.0), lambda: dc_gain(width, 0.3),
+                     lambda: sliding_window_output(np.zeros(8), width),
+                     lambda: write_gain_sweeps(tmp_path / "g.csv", widths=(width,), n_points=3)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_whole_float_width_is_that_int(self, tmp_path):
+        assert np.array_equal(sliding_window_output(np.arange(6.0), 3.0),
+                              sliding_window_output(np.arange(6.0), 3))
+        as_float, as_int = (write_gain_sweeps(tmp_path / f"{w}.csv", widths=(w,), n_points=3)
+                            for w in (4.0, 4))
+        assert as_float.read_bytes() == as_int.read_bytes()
+
+
 def test_frequency_response_magnitude():
     resp = FrequencyResponse(0.5, 3 + 4j)
     assert resp.magnitude == pytest.approx(5.0)
@@ -178,7 +209,7 @@ def test_frequency_response_magnitude():
 class TestWholeFileWrites:
     def test_a_sweep_that_raises_leaves_no_file(self, tmp_path):
         # It used to leave g.csv with its header and the four W=2 rows.
-        with pytest.raises(ValueError, match="window width must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="window width must be a whole number >= 1, got 0"):
             write_gain_sweeps(tmp_path / "g.csv", widths=(2, 0), n_points=4)
         assert list(tmp_path.iterdir()) == []
 

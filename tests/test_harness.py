@@ -420,7 +420,7 @@ def test_golden_twenty_dataset_sweep_digests(tmp_path):
     assert digests == {
         "error_rates": "766e245df3234fd8062bc7ac7b879857e5fe05b6a37bac09154cc197256a48a2",
         "stats_report": "d7b9d0a70a391696be4b42a21045355bae39d3f31729b5e7083763170ee2c134",
-        "gain_sweeps": "27a6f208d74464af004c72464e2b178f6d958640e861e2d668273501a4c05381",
+        "gain_sweeps": "1533c5994d0a19d22cf1ce6e93edb0750cfa9d87ebaf63bc1fc46b32f74290dd",
     }
 
 

@@ -20,6 +20,7 @@ from windowlab.windows import (
     budget_walk,
     default_size_grid,
     dynamic_label,
+    ensemble_votes,
     make_threshold_grid,
     static_label,
     tune_dynamic,
@@ -525,6 +526,67 @@ class TestBudgetWalk:
             [(0, 1), (2, 3), (4, 4)],
             [(0, 1), (2, 3), (4, 4)],
         ]
+
+
+def batch_shapes(magnitudes, budgets):
+    """(edges, lanes) of each batch of the "left" walk behind ``ensemble_votes``."""
+    return [(len(e), len(s)) for e, s in budget_walk(np.cumsum(magnitudes), budgets, "left")]
+
+
+class TestEnsembleVotes:
+    """Magnitudes and evidence that no DCA signal pair gives (there |k| <= csm,
+    and k = 0 wherever csm = 0): the vote sums are the bytes of a replay that
+    adds each window's vote to a difference array, window by window."""
+
+    def assert_replay_bytes(self, magnitudes, evidence, budgets):
+        got = ensemble_votes(magnitudes, evidence, budgets)
+        assert got.tobytes() == oracles.ensemble_vote_sums(magnitudes, evidence, budgets).tobytes()
+
+    @given(walk_cases(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_any_walk_in_any_budget_order(self, case, seed):
+        increments, budgets = case
+        rng = np.random.default_rng(seed)
+        self.assert_replay_bytes(increments, rng.normal(0.0, 20.0, len(increments)),
+                                 rng.permutation(budgets))
+
+    def test_evidence_larger_than_the_magnitude(self):
+        rng = np.random.default_rng(50)
+        magnitudes, evidence = rng.uniform(0.0, 0.1, 300), rng.normal(0.0, 5.0, 300)
+        assert np.mean(np.abs(evidence) > magnitudes) > 0.9
+        self.assert_replay_bytes(magnitudes, evidence, windows.budget_ladder(0.1, 60, 1.0))
+
+    def test_runs_of_zero_magnitude(self):
+        # A zero run joins the window before it; evidence there still votes.
+        magnitudes = np.repeat([0.0, 0.5, 0.0, 2.0, 0.0, 0.25], [12, 30, 25, 6, 40, 20])
+        evidence = np.random.default_rng(51).normal(0.0, 1.0, len(magnitudes))
+        budgets = windows.budget_ladder(2.0, 40, 1.0).tolist() + [1e-17, 100.0]
+        self.assert_replay_bytes(magnitudes, evidence, budgets)
+
+    def test_a_ladder_across_the_bisect_switch(self):
+        magnitudes = np.full(100, 2.0)
+        evidence = np.random.default_rng(52).normal(0.0, 3.0, 100)
+        budgets = CROSSOVER_BUDGET * np.linspace(0.25, 4.0, 40)
+        lanes = [lanes for _, lanes in batch_shapes(magnitudes, budgets)]
+        assert 1 in lanes and max(lanes) > 1  # table lanes, then batches of bisect lanes
+        self.assert_replay_bytes(magnitudes, evidence, budgets)
+
+    def test_an_unsorted_ladder(self):
+        rng = np.random.default_rng(53)
+        magnitudes, evidence = rng.uniform(0.0, 1.0, 150), rng.normal(0.0, 1.0, 150)
+        budgets = rng.permutation(windows.budget_ladder(1.0, 50, 1.0))
+        assert all(lanes == 1 for _, lanes in batch_shapes(magnitudes, budgets))  # table lanes
+        self.assert_replay_bytes(magnitudes, evidence, budgets)
+
+    def test_a_lane_yielded_again(self):
+        # Magnitude 0.5 everywhere: a budget step of 1/6 moves no window end
+        # twice in three, and the repeated lane votes once per budget.
+        magnitudes = np.full(120, 0.5)
+        evidence = np.random.default_rng(54).integers(-9, 10, 120) / 4.0
+        budgets = windows.budget_ladder(0.5, 30, 10.0)
+        walk = [edges for edges, _ in budget_walk(np.cumsum(magnitudes), budgets, "left")]
+        assert sum(a is b for a, b in zip(walk, walk[1:])) == 16
+        self.assert_replay_bytes(magnitudes, evidence, budgets)
 
 
 # 120 grid increments with zeros: mean 0.078, so lambda = 1 ladders over the
